@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end crash/resume determinism check (docs/CHECKPOINT.md).
 #
-# For each shard count, runs a quick k=12 Opera sweep three ways:
+# For each fabric (Opera, and the folded Clos on the same sharded engine)
+# and each shard count, runs a quick 12-rack sweep three ways:
 #   1. uninterrupted, no guard flags — the reference;
 #   2. with --checkpoint-every, SIGKILLed as soon as a checkpoint lands
 #      (SIGKILL is unmaskable: this is a real crash, not a graceful exit);
@@ -25,8 +26,8 @@ fi
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
 
-sweep=(--fabric=opera --racks=12 --hosts-per-rack=4 --workload=permutation
-       --flow-kb=20000 --horizon-ms=100 --seed=7 --csv)
+sweep_args=(--racks=12 --hosts-per-rack=4 --workload=permutation
+            --flow-kb=20000 --horizon-ms=100 --seed=7 --csv)
 failures=0
 
 wait_for_checkpoint() {
@@ -41,46 +42,50 @@ wait_for_checkpoint() {
   return 1
 }
 
-for threads in 1 4; do
-  echo "== crash/resume at --threads=$threads"
-  ck="$work/t$threads.ckpt"
+for fabric in opera clos; do
+  for threads in 1 4; do
+    echo "== crash/resume: $fabric at --threads=$threads"
+    run="$fabric-t$threads"
+    ck="$work/$run.ckpt"
+    fabric_sweep=(--fabric="$fabric" "${sweep_args[@]}")
 
-  "$bench" "${sweep[@]}" --threads="$threads" \
-    > "$work/ref$threads.csv" 2> "$work/ref$threads.err"
+    "$bench" "${fabric_sweep[@]}" --threads="$threads" \
+      > "$work/ref-$run.csv" 2> "$work/ref-$run.err"
 
-  "$bench" "${sweep[@]}" --threads="$threads" \
-    --checkpoint-every=5 --checkpoint-to="$ck" \
-    > "$work/killed$threads.csv" 2> "$work/killed$threads.err" &
-  pid=$!
-  if wait_for_checkpoint "$ck" "$pid"; then
-    kill -KILL "$pid" 2>/dev/null || true
-  fi
-  wait "$pid" 2>/dev/null || true
-  if [[ ! -s "$ck" ]]; then
-    echo "FAIL: no checkpoint written before the run ended (threads=$threads)" >&2
-    failures=$((failures + 1))
-    continue
-  fi
+    "$bench" "${fabric_sweep[@]}" --threads="$threads" \
+      --checkpoint-every=5 --checkpoint-to="$ck" \
+      > "$work/killed-$run.csv" 2> "$work/killed-$run.err" &
+    pid=$!
+    if wait_for_checkpoint "$ck" "$pid"; then
+      kill -KILL "$pid" 2>/dev/null || true
+    fi
+    wait "$pid" 2>/dev/null || true
+    if [[ ! -s "$ck" ]]; then
+      echo "FAIL: no checkpoint written before the run ended ($run)" >&2
+      failures=$((failures + 1))
+      continue
+    fi
 
-  "$bench" --resume="$ck" --threads="$threads" --csv \
-    > "$work/resumed$threads.csv" 2> "$work/resumed$threads.err"
-  grep -q "fingerprint .* verified" "$work/resumed$threads.err" || {
-    echo "FAIL: resume did not verify the checkpoint fingerprint (threads=$threads)" >&2
-    failures=$((failures + 1))
-  }
+    "$bench" --resume="$ck" --threads="$threads" --csv \
+      > "$work/resumed-$run.csv" 2> "$work/resumed-$run.err"
+    grep -q "fingerprint .* verified" "$work/resumed-$run.err" || {
+      echo "FAIL: resume did not verify the checkpoint fingerprint ($run)" >&2
+      failures=$((failures + 1))
+    }
 
-  if diff <(python3 "$strip" "$work/ref$threads.csv") \
-          <(python3 "$strip" "$work/resumed$threads.csv"); then
-    echo "   resumed CSV bit-identical to uninterrupted reference"
-  else
-    echo "FAIL: resumed run differs from reference (threads=$threads)" >&2
-    failures=$((failures + 1))
-  fi
+    if diff <(python3 "$strip" "$work/ref-$run.csv") \
+            <(python3 "$strip" "$work/resumed-$run.csv"); then
+      echo "   resumed CSV bit-identical to uninterrupted reference"
+    else
+      echo "FAIL: resumed run differs from reference ($run)" >&2
+      failures=$((failures + 1))
+    fi
+  done
 done
 
 echo "== SIGTERM graceful exit"
 ck="$work/sigterm.ckpt"
-"$bench" "${sweep[@]}" --checkpoint-to="$ck" --checkpoint-every=5 \
+"$bench" --fabric=opera "${sweep_args[@]}" --checkpoint-to="$ck" --checkpoint-every=5 \
   > "$work/sigterm.csv" 2> "$work/sigterm.err" &
 pid=$!
 wait_for_checkpoint "$ck" "$pid" || true

@@ -1,12 +1,14 @@
 #include "core/clos_network.h"
 
-#include <cassert>
 #include <cstdio>
 
 namespace opera::core {
 
 ClosNetwork::ClosNetwork(const ClosNetConfig& config)
-    : config_(config), clos_(config.structure), rng_(config.seed) {
+    : PacketNetwork(config.structure.num_tors(), config.structure.hosts_per_tor(),
+                    config.link, config.ndp, config.threads, BulkTransport::kNdp),
+      config_(config),
+      clos_(config.structure) {
   build();
 }
 
@@ -16,38 +18,23 @@ void ClosNetwork::build() {
   const int u = config_.structure.tor_uplinks();
   const int tors_per_pod = k / 2;
   const auto sw_q = config_.switch_queue_config();
-  const auto host_q = config_.host_queue_config();
-  const double rate = config_.link.rate_bps;
-  const sim::Time prop = config_.link.propagation;
 
+  // Switch placement: ToRs on their rack's shard, aggs on their pod's
+  // first rack's shard, cores round-robin. Any fixed rule is correct —
+  // every link has the same propagation delay, which is the lookahead.
   for (topo::Vertex t = 0; t < clos_.num_tors(); ++t) {
-    auto tor = std::make_unique<net::Switch>(sim_, "tor" + std::to_string(t), t);
-    for (int p = 0; p < d + u; ++p) tor->add_port(rate, prop, sw_q);
-    tors_.push_back(std::move(tor));
+    tors_.push_back(make_switch("tor" + std::to_string(t), t, shard_of_rack(t), d + u, sw_q));
   }
   for (topo::Vertex a = 0; a < clos_.num_aggs(); ++a) {
-    auto agg = std::make_unique<net::Switch>(sim_, "agg" + std::to_string(a), a);
-    for (int p = 0; p < k; ++p) agg->add_port(rate, prop, sw_q);
-    aggs_.push_back(std::move(agg));
+    const int pod = static_cast<int>(a) / u;
+    aggs_.push_back(make_switch("agg" + std::to_string(a), a,
+                                shard_of_rack(pod * tors_per_pod), k, sw_q));
   }
   for (topo::Vertex c = 0; c < clos_.num_cores(); ++c) {
-    auto core = std::make_unique<net::Switch>(sim_, "core" + std::to_string(c), c);
-    for (int p = 0; p < clos_.num_pods(); ++p) core->add_port(rate, prop, sw_q);
-    cores_.push_back(std::move(core));
+    cores_.push_back(make_switch("core" + std::to_string(c), c, c % num_shards(),
+                                 clos_.num_pods(), sw_q));
   }
-
-  // Hosts <-> ToRs.
-  for (topo::Vertex t = 0; t < clos_.num_tors(); ++t) {
-    for (int i = 0; i < d; ++i) {
-      const auto id = static_cast<std::int32_t>(t) * d + i;
-      auto host = std::make_unique<net::Host>(sim_, "host" + std::to_string(id), id, t);
-      host->add_port(rate, prop, host_q);
-      host->uplink().connect(tors_[static_cast<std::size_t>(t)].get(), i);
-      tors_[static_cast<std::size_t>(t)]->port(i).connect(host.get(), 0);
-      transport::install_ndp_sink_factory(*host, tracker_, sinks_);
-      hosts_.push_back(std::move(host));
-    }
-  }
+  build_hosts(tors_, config_.host_queue_config());
 
   // ToR <-> agg: ToR t's uplink j pairs with agg (pod*u + j), whose down
   // port for t is t's index within the pod.
@@ -72,21 +59,24 @@ void ClosNetwork::build() {
     }
   }
 
-  // Forwarding: standard up-down ECMP with per-packet spraying (NDP).
+  // Forwarding: standard up-down ECMP with per-packet spraying (NDP). Aggs
+  // hash as their switch-graph vertex, so a packet's ToR and agg picks are
+  // independent.
   for (auto& tor : tors_) {
-    tor->set_forward([this, d, u](net::Switch& swch, const net::Packet& pkt, int) {
+    tor->set_forward([d, u](net::Switch& swch, const net::Packet& pkt, int) {
       if (pkt.dst_rack == swch.id()) return pkt.dst_host - swch.id() * d;
-      return d + static_cast<int>(rng_.index(static_cast<std::size_t>(u)));
+      return d + static_cast<int>(spray_pick(pkt, swch.id(), static_cast<std::size_t>(u)));
     });
   }
   for (auto& agg : aggs_) {
-    agg->set_forward(
-        [this, k, u, tors_per_pod](net::Switch& swch, const net::Packet& pkt, int) {
-          const int pod = swch.id() / u;
-          const int dst_pod = pkt.dst_rack / tors_per_pod;
-          if (dst_pod == pod) return pkt.dst_rack - pod * tors_per_pod;
-          return k / 2 + static_cast<int>(rng_.index(static_cast<std::size_t>(k / 2)));
-        });
+    agg->set_forward([this, k, u, tors_per_pod](net::Switch& swch, const net::Packet& pkt,
+                                                int) {
+      const int pod = swch.id() / u;
+      const int dst_pod = pkt.dst_rack / tors_per_pod;
+      if (dst_pod == pod) return pkt.dst_rack - pod * tors_per_pod;
+      return k / 2 + static_cast<int>(spray_pick(pkt, clos_.agg_vertex(swch.id()),
+                                                 static_cast<std::size_t>(k / 2)));
+    });
   }
   for (auto& core : cores_) {
     core->set_forward([tors_per_pod](net::Switch&, const net::Packet& pkt, int) {
@@ -95,30 +85,12 @@ void ClosNetwork::build() {
   }
 }
 
-std::uint64_t ClosNetwork::submit_flow(std::int32_t src_host, std::int32_t dst_host,
-                                       std::int64_t size_bytes, sim::Time start,
-                                       std::optional<net::TrafficClass> force) {
-  assert(src_host != dst_host);
-  transport::Flow flow;
-  flow.id = tracker_.next_flow_id();
-  flow.src_host = src_host;
-  flow.dst_host = dst_host;
-  flow.src_rack = rack_of_host(src_host);
-  flow.dst_rack = rack_of_host(dst_host);
-  flow.size_bytes = size_bytes;
-  flow.start = start;
-  const bool is_bulk = size_bytes >= config_.bulk_threshold_bytes;
-  flow.tclass = force.value_or((config_.priority_queueing && is_bulk)
-                                   ? net::TrafficClass::kBulk
-                                   : net::TrafficClass::kLowLatency);
-  tracker_.register_flow(flow);
-  sim_.schedule_at(start, [this, flow] {
-    auto source = std::make_unique<transport::NdpSource>(host(flow.src_host), flow,
-                                                         tracker_, config_.ndp);
-    source->start();
-    sources_.push_back(std::move(source));
-  });
-  return flow.id;
+net::TrafficClass ClosNetwork::classify(const transport::Flow& flow,
+                                        std::optional<net::TrafficClass> force) const {
+  const bool is_bulk = flow.size_bytes >= config_.bulk_threshold_bytes;
+  return force.value_or((config_.priority_queueing && is_bulk)
+                            ? net::TrafficClass::kBulk
+                            : net::TrafficClass::kLowLatency);
 }
 
 std::string ClosNetwork::describe() const {

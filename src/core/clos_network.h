@@ -1,6 +1,8 @@
 // Packet-level 3-tier oversubscribed folded-Clos baseline (paper §5):
-// NDP transport for all traffic, per-packet ECMP spraying, optional strict
-// priority queueing of low-latency over bulk classes.
+// NDP transport for all traffic, per-packet ECMP spraying (spray_pick),
+// optional strict priority queueing of low-latency over bulk classes.
+// ToRs live on their rack's shard, aggregation switches on their pod's
+// first rack's shard, core switches round-robin over the shards.
 #pragma once
 
 #include <cstdint>
@@ -9,13 +11,9 @@
 #include <vector>
 
 #include "core/config.h"
-#include "core/network.h"
-#include "net/host.h"
+#include "core/packet_network.h"
 #include "net/switch.h"
-#include "sim/rng.h"
-#include "sim/simulator.h"
 #include "topo/folded_clos.h"
-#include "transport/flow.h"
 #include "transport/ndp.h"
 
 namespace opera::core {
@@ -29,7 +27,7 @@ struct ClosNetConfig {
   // flows never queue behind them (the paper's "ideal priority queuing"
   // comparison); without it all traffic shares one band.
   bool priority_queueing = true;
-  std::uint64_t seed = 42;
+  int threads = 0;  // shard count; see PacketNetwork
 
   [[nodiscard]] net::PortQueue::Config switch_queue_config() const {
     net::PortQueue::Config q;
@@ -51,52 +49,23 @@ struct ClosNetConfig {
   }
 };
 
-class ClosNetwork : public Network {
+class ClosNetwork : public PacketNetwork {
  public:
   explicit ClosNetwork(const ClosNetConfig& config);
 
-  std::uint64_t submit_flow(
-      std::int32_t src_host, std::int32_t dst_host, std::int64_t size_bytes,
-      sim::Time start,
-      std::optional<net::TrafficClass> force = std::nullopt) override;
-
-  void run_until(sim::Time t) override { sim_.run_until(t); }
-
-  [[nodiscard]] sim::Simulator& sim() override { return sim_; }
-  [[nodiscard]] const sim::Simulator& sim() const override { return sim_; }
-  [[nodiscard]] transport::FlowTracker& tracker() override { return tracker_; }
-  [[nodiscard]] const transport::FlowTracker& tracker() const override {
-    return tracker_;
-  }
   [[nodiscard]] const topo::FoldedClos& structure() const { return clos_; }
-  [[nodiscard]] std::int32_t num_hosts() const override {
-    return static_cast<std::int32_t>(hosts_.size());
-  }
-  [[nodiscard]] std::int32_t num_racks() const override {
-    return static_cast<std::int32_t>(clos_.num_tors());
-  }
-  [[nodiscard]] net::Host& host(std::int32_t id) {
-    return *hosts_[static_cast<std::size_t>(id)];
-  }
-  [[nodiscard]] std::int32_t rack_of_host(std::int32_t host) const override {
-    return host / clos_.params().hosts_per_tor();
-  }
   [[nodiscard]] std::string describe() const override;
 
  private:
+  [[nodiscard]] net::TrafficClass classify(
+      const transport::Flow& flow, std::optional<net::TrafficClass> force) const override;
   void build();
 
   ClosNetConfig config_;
   topo::FoldedClos clos_;
-  sim::Simulator sim_;
-  sim::Rng rng_;
-  transport::FlowTracker tracker_;
-  std::vector<std::unique_ptr<net::Host>> hosts_;
   std::vector<std::unique_ptr<net::Switch>> tors_;
   std::vector<std::unique_ptr<net::Switch>> aggs_;
   std::vector<std::unique_ptr<net::Switch>> cores_;
-  std::vector<std::unique_ptr<transport::NdpSource>> sources_;
-  std::vector<std::unique_ptr<transport::NdpSink>> sinks_;
 };
 
 }  // namespace opera::core

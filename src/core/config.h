@@ -54,11 +54,9 @@ struct OperaConfig {
   int slice_table_window = 0;
   std::size_t slice_table_budget_bytes = topo::SliceTableCache::kDefaultBudgetBytes;
 
-  // Shard count for the sharded event loop (docs/ARCHITECTURE.md "Sharded
-  // execution"): racks are partitioned into this many domains, each with
-  // its own event queue, synchronized with conservative lookahead =
-  // link.propagation. Output is bit-identical for any value. 0 = auto:
-  // $OPERA_TEST_THREADS when set, else 1 (the classic single-queue loop).
+  // Shard count for the sharded event loop (see core::PacketNetwork).
+  // Output is bit-identical for any value. 0 = auto: $OPERA_TEST_THREADS
+  // when set, else 1 (the classic single-queue loop).
   int threads = 0;
 
   // Queue provisioning (paper §4.1-4.2): shallow low-latency queues keep

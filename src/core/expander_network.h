@@ -1,6 +1,7 @@
 // Packet-level static-expander baseline (paper §5): ToR uplinks wired as a
-// random u-regular graph, shortest-path ECMP with per-packet spraying, NDP
-// transport for all traffic.
+// random u-regular graph, shortest-path ECMP with per-packet spraying
+// (spray_pick), NDP transport for all traffic. Each ToR lives on its rack's
+// shard.
 #pragma once
 
 #include <cstdint>
@@ -9,13 +10,9 @@
 #include <vector>
 
 #include "core/config.h"
-#include "core/network.h"
-#include "net/host.h"
+#include "core/packet_network.h"
 #include "net/switch.h"
-#include "sim/rng.h"
-#include "sim/simulator.h"
 #include "topo/expander.h"
-#include "transport/flow.h"
 #include "transport/ndp.h"
 
 namespace opera::core {
@@ -26,7 +23,7 @@ struct ExpanderNetConfig {
   transport::NdpConfig ndp;
   std::int64_t bulk_threshold_bytes = 15'000'000;
   bool priority_queueing = true;
-  std::uint64_t seed = 42;
+  int threads = 0;  // shard count; see PacketNetwork
 
   [[nodiscard]] net::PortQueue::Config switch_queue_config() const {
     net::PortQueue::Config q;
@@ -48,53 +45,24 @@ struct ExpanderNetConfig {
   }
 };
 
-class ExpanderNetwork : public Network {
+class ExpanderNetwork : public PacketNetwork {
  public:
   explicit ExpanderNetwork(const ExpanderNetConfig& config);
 
-  std::uint64_t submit_flow(
-      std::int32_t src_host, std::int32_t dst_host, std::int64_t size_bytes,
-      sim::Time start,
-      std::optional<net::TrafficClass> force = std::nullopt) override;
-
-  void run_until(sim::Time t) override { sim_.run_until(t); }
-
-  [[nodiscard]] sim::Simulator& sim() override { return sim_; }
-  [[nodiscard]] const sim::Simulator& sim() const override { return sim_; }
-  [[nodiscard]] transport::FlowTracker& tracker() override { return tracker_; }
-  [[nodiscard]] const transport::FlowTracker& tracker() const override {
-    return tracker_;
-  }
   [[nodiscard]] const topo::ExpanderTopology& structure() const { return expander_; }
-  [[nodiscard]] std::int32_t num_hosts() const override {
-    return static_cast<std::int32_t>(hosts_.size());
-  }
-  [[nodiscard]] std::int32_t num_racks() const override {
-    return static_cast<std::int32_t>(config_.structure.num_tors);
-  }
-  [[nodiscard]] net::Host& host(std::int32_t id) {
-    return *hosts_[static_cast<std::size_t>(id)];
-  }
-  [[nodiscard]] std::int32_t rack_of_host(std::int32_t host) const override {
-    return host / config_.structure.hosts_per_tor;
-  }
   [[nodiscard]] std::string describe() const override;
 
  private:
+  [[nodiscard]] net::TrafficClass classify(
+      const transport::Flow& flow, std::optional<net::TrafficClass> force) const override;
   void build();
 
   ExpanderNetConfig config_;
   topo::ExpanderTopology expander_;
-  sim::Simulator sim_;
-  sim::Rng rng_;
-  transport::FlowTracker tracker_;
   topo::EcmpTable routes_;
   // uplink_of_[a] maps neighbor rack -> uplink port index on ToR a.
   std::vector<std::vector<int>> uplink_of_;
-  std::vector<std::unique_ptr<net::Host>> hosts_;
   std::vector<std::unique_ptr<net::Switch>> tors_;
-  std::vector<std::unique_ptr<transport::NdpSource>> sources_;
-  std::vector<std::unique_ptr<transport::NdpSink>> sinks_;
 };
 
 }  // namespace opera::core

@@ -3,56 +3,15 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <cstdlib>
 #include <numeric>
 
 namespace opera::core {
 
-namespace {
-
-// Resolved shard count: config override, else $OPERA_TEST_THREADS (the CI
-// matrix leg that runs the whole suite sharded), else 1; always clamped to
-// the rack count (a shard must own at least one rack-granularity domain).
-int resolve_shards(const OperaConfig& config) {
-  int threads = config.threads;
-  if (threads <= 0) {
-    // getenv is mt-unsafe only against concurrent setenv; this runs at
-    // fabric construction, before any shard worker exists.
-    // NOLINTNEXTLINE(concurrency-mt-unsafe)
-    if (const char* env = std::getenv("OPERA_TEST_THREADS")) {
-      threads = std::atoi(env);
-    }
-  }
-  if (threads <= 0) threads = 1;
-  // Sharding needs lookahead: a (hypothetical) zero-propagation fabric
-  // has none, so it runs single-queue like the rack clamp would.
-  if (!(config.link.propagation > sim::Time::zero())) threads = 1;
-  return std::min<int>(threads, config.topology.num_racks);
-}
-
-// Order-independent per-packet ECMP pick (what a real switch does: hash
-// header fields). Depending only on intrinsic packet identity — never on
-// a shared rng stream's draw order — is what keeps path selection, and
-// therefore all output, bit-identical under any shard count. Distinct
-// mixes per (rack, routing slice) de-correlate hops along a path; seq
-// spreads a flow's packets across equal-cost choices (NDP-style packet
-// spraying).
-std::size_t ecmp_pick(const net::Packet& pkt, std::int32_t rack, int rslice,
-                      std::size_t n) {
-  std::uint64_t h = sim::mix64(pkt.flow_id ^ (pkt.seq * 0x9E3779B97F4A7C15ULL) ^
-                               (static_cast<std::uint64_t>(static_cast<std::uint8_t>(pkt.type))
-                                << 56));
-  h = sim::mix64(h ^ (static_cast<std::uint64_t>(static_cast<std::uint32_t>(rack)) << 32) ^
-                 static_cast<std::uint32_t>(rslice));
-  return static_cast<std::size_t>(h % n);
-}
-
-}  // namespace
-
 OperaNetwork::OperaNetwork(const OperaConfig& config)
-    : config_(config),
+    : PacketNetwork(config.topology.num_racks, config.topology.hosts_per_rack, config.link,
+                    config.ndp, config.threads, BulkTransport::kRotorLb),
+      config_(config),
       topo_(config.topology),
-      engine_(resolve_shards(config), config.link.propagation),
       rng_(config.seed),
       failures_(topo::FailureSet::none(config.topology.num_racks,
                                        config.topology.num_switches)),
@@ -62,17 +21,8 @@ OperaNetwork::OperaNetwork(const OperaConfig& config)
   relay_reach_.assign(static_cast<std::size_t>(config_.topology.num_racks),
                       std::vector<bool>(static_cast<std::size_t>(config_.topology.num_racks),
                                         true));
-  endpoints_.resize(static_cast<std::size_t>(engine_.num_shards()));
-  // Completions/deliveries are recorded on shard threads and merged in
-  // canonical (time, flow id) order at every epoch barrier — the same
-  // canonical stream for any shard count, so parity tests can compare the
-  // records verbatim.
-  tracker_.set_lanes(engine_.num_shards());
-  engine_.set_barrier_hook([this] { tracker_.flush_lanes(); });
-
   build_nodes();
   install_forwarding();
-  install_host_handlers();
 
   // Per-slice low-latency forwarding tables (paper §4.3: all routing state
   // is known at design time). Slices are independent, so tables build in
@@ -103,30 +53,13 @@ void OperaNetwork::build_nodes() {
   const auto u = config_.topology.num_switches;
   const auto n = config_.topology.num_racks;
   const auto tor_q = config_.tor_queue_config();
-  const auto host_q = config_.host_queue_config();
 
   for (topo::Vertex r = 0; r < n; ++r) {
-    auto& ctx = engine_.shard(shard_of_rack(r));
-    auto tor = std::make_unique<net::Switch>(ctx, "tor" + std::to_string(r), r);
     // Downlinks then uplinks.
-    for (int i = 0; i < d + u; ++i) {
-      tor->add_port(config_.link.rate_bps, config_.link.propagation, tor_q);
-    }
+    tors_.push_back(make_switch("tor" + std::to_string(r), r, shard_of_rack(r), d + u, tor_q));
     relays_.push_back(std::make_unique<transport::RotorRelayBuffer>(n));
-    tors_.push_back(std::move(tor));
   }
-  for (topo::Vertex r = 0; r < n; ++r) {
-    auto& ctx = engine_.shard(shard_of_rack(r));
-    for (int i = 0; i < d; ++i) {
-      const auto id = static_cast<std::int32_t>(r) * d + i;
-      auto host = std::make_unique<net::Host>(ctx, "host" + std::to_string(id), id, r);
-      host->add_port(config_.link.rate_bps, config_.link.propagation, host_q);
-      host->uplink().connect(tors_[static_cast<std::size_t>(r)].get(), i);
-      tors_[static_cast<std::size_t>(r)]->port(i).connect(host.get(), 0);
-      agents_.push_back(std::make_unique<transport::RotorLbAgent>(*host, tracker_, n));
-      hosts_.push_back(std::move(host));
-    }
-  }
+  build_hosts(tors_, config_.host_queue_config());
 }
 
 int OperaNetwork::slice_at(sim::Time t) const {
@@ -388,84 +321,15 @@ void OperaNetwork::install_forwarding() {
   }
 }
 
-void OperaNetwork::install_host_handlers() {
-  for (auto& host : hosts_) {
-    // Sink creation happens on the destination host's shard; each shard
-    // appends to its own endpoint pool.
-    const int sh = shard_of_host(host->id());
-    host->set_default_handler([this, sh](net::Host& h, net::PacketPtr pkt) {
-      const transport::Flow* flow = tracker_.find(pkt->flow_id);
-      if (flow == nullptr) return;
-      if (pkt->type == net::PacketType::kNack) {
-        // RotorLB loss notification back at the source host.
-        if (flow->src_host == h.id() && flow->tclass == net::TrafficClass::kBulk) {
-          agents_[static_cast<std::size_t>(h.id())]->handle_nack(flow->id, pkt->seq);
-        }
-        return;
-      }
-      if (pkt->type != net::PacketType::kData && pkt->type != net::PacketType::kHeader) {
-        return;  // stray control for a finished flow
-      }
-      if (flow->dst_host != h.id()) return;
-      // First packet of a flow at its destination: create the sink.
-      EndpointPool& pool = endpoints_[static_cast<std::size_t>(sh)];
-      if (flow->tclass == net::TrafficClass::kBulk) {
-        auto sink = std::make_unique<transport::RotorLbSink>(h, *flow, tracker_);
-        auto* raw = sink.get();
-        pool.bulk_sinks.push_back(std::move(sink));
-        h.register_flow(flow->id,
-                        [raw](net::PacketPtr p) { raw->on_packet(std::move(p)); });
-        raw->on_packet(std::move(pkt));
-      } else {
-        auto sink = std::make_unique<transport::NdpSink>(h, *flow, tracker_);
-        auto* raw = sink.get();
-        pool.ndp_sinks.push_back(std::move(sink));
-        h.register_flow(flow->id,
-                        [raw](net::PacketPtr p) { raw->on_packet(std::move(p)); });
-        raw->on_packet(std::move(pkt));
-      }
-    });
-  }
-}
-
-std::uint64_t OperaNetwork::submit_flow(std::int32_t src_host, std::int32_t dst_host,
-                                        std::int64_t size_bytes, sim::Time start,
-                                        std::optional<net::TrafficClass> force) {
-  assert(src_host != dst_host);
-  transport::Flow flow;
-  flow.id = tracker_.next_flow_id();
-  flow.src_host = src_host;
-  flow.dst_host = dst_host;
-  flow.src_rack = rack_of_host(src_host);
-  flow.dst_rack = rack_of_host(dst_host);
-  flow.size_bytes = size_bytes;
-  flow.start = start;
-  flow.tclass = force.value_or(size_bytes >= config_.bulk_threshold_bytes
-                                   ? net::TrafficClass::kBulk
-                                   : net::TrafficClass::kLowLatency);
+net::TrafficClass OperaNetwork::classify(const transport::Flow& flow,
+                                         std::optional<net::TrafficClass> force) const {
   // Intra-rack bulk never needs a circuit; service it on the low-latency
   // path (one ToR hop).
-  if (flow.src_rack == flow.dst_rack) flow.tclass = net::TrafficClass::kLowLatency;
-  tracker_.register_flow(flow);
-
-  // The start event is seeded onto the source host's shard with a
-  // submission-order key, so equal-time starts order identically under any
-  // shard count.
-  const int sh = shard_of_host(flow.src_host);
-  engine_.seed(sh, start, [this, sh, flow] {
-    if (flow.tclass == net::TrafficClass::kBulk) {
-      agents_[static_cast<std::size_t>(flow.src_host)]->add_flow(flow);
-    } else {
-      auto source = std::make_unique<transport::NdpSource>(
-          host(flow.src_host), flow, tracker_, config_.ndp);
-      source->start();
-      endpoints_[static_cast<std::size_t>(sh)].ndp_sources.push_back(std::move(source));
-    }
-  });
-  return flow.id;
+  if (flow.src_rack == flow.dst_rack) return net::TrafficClass::kLowLatency;
+  return force.value_or(flow.size_bytes >= config_.bulk_threshold_bytes
+                            ? net::TrafficClass::kBulk
+                            : net::TrafficClass::kLowLatency);
 }
-
-void OperaNetwork::run_until(sim::Time t) { engine_.run_until(t); }
 
 void OperaNetwork::inject_uplink_failure(std::int32_t rack, int rotor_switch) {
   failures_.uplink_failed[static_cast<std::size_t>(rack)]

@@ -19,69 +19,24 @@
 #include <vector>
 
 #include "core/config.h"
-#include "core/network.h"
-#include "net/host.h"
+#include "core/packet_network.h"
 #include "net/switch.h"
 #include "sim/rng.h"
-#include "sim/sharded.h"
-#include "sim/simulator.h"
 #include "topo/opera_topology.h"
 #include "topo/slice_table_cache.h"
-#include "transport/flow.h"
-#include "transport/ndp.h"
 #include "transport/rotorlb.h"
 
 namespace opera::core {
 
-class OperaNetwork : public Network {
+class OperaNetwork : public PacketNetwork {
  public:
   explicit OperaNetwork(const OperaConfig& config);
   ~OperaNetwork() override;
 
-  // Classifies by size against bulk_threshold_bytes unless `force` is
-  // given (the paper's application-based tagging, §3.4), registers the
-  // flow, and schedules its start. Returns the flow id.
-  std::uint64_t submit_flow(
-      std::int32_t src_host, std::int32_t dst_host, std::int64_t size_bytes,
-      sim::Time start,
-      std::optional<net::TrafficClass> force = std::nullopt) override;
-
-  void run_until(sim::Time t) override;
-
-  // The coordinator simulator: its clock is the committed global time and
-  // its queue holds barrier-aligned global events (slice boundaries,
-  // failure injections, progress ticks). With threads == 1 this is still
-  // the natural place for test probes; packet events live on the shard(s).
-  [[nodiscard]] sim::Simulator& sim() override { return engine_.global(); }
-  [[nodiscard]] const sim::Simulator& sim() const override { return engine_.global(); }
-  [[nodiscard]] sim::ShardedSimulator& engine() { return engine_; }
-  [[nodiscard]] std::uint64_t events_executed() const override {
-    return engine_.events_executed();
-  }
-  // Resolved shard count (config threads clamped to [1, num_racks]).
-  [[nodiscard]] int num_shards() const override { return engine_.num_shards(); }
-  [[nodiscard]] int shard_of_rack(std::int32_t rack) const {
-    return static_cast<int>(static_cast<std::int64_t>(rack) * engine_.num_shards() /
-                            topo_.num_racks());
-  }
-  [[nodiscard]] transport::FlowTracker& tracker() override { return tracker_; }
-  [[nodiscard]] const transport::FlowTracker& tracker() const override {
-    return tracker_;
-  }
   [[nodiscard]] const OperaConfig& config() const { return config_; }
   [[nodiscard]] const topo::OperaTopology& topology() const { return topo_; }
-  [[nodiscard]] std::int32_t num_hosts() const override {
-    return static_cast<std::int32_t>(hosts_.size());
-  }
-  [[nodiscard]] std::int32_t num_racks() const override { return topo_.num_racks(); }
-  [[nodiscard]] net::Host& host(std::int32_t id) {
-    return *hosts_[static_cast<std::size_t>(id)];
-  }
   [[nodiscard]] net::Switch& tor(std::int32_t rack) {
     return *tors_[static_cast<std::size_t>(rack)];
-  }
-  [[nodiscard]] std::int32_t rack_of_host(std::int32_t host) const override {
-    return host / config_.topology.hosts_per_rack;
   }
   [[nodiscard]] std::string describe() const override;
 
@@ -165,6 +120,11 @@ class OperaNetwork : public Network {
   bool degrade_memory() override;
 
  private:
+  // By size against bulk_threshold_bytes unless forced (the paper's
+  // application-based tagging, §3.4); intra-rack flows always take the
+  // one-hop low-latency path.
+  [[nodiscard]] net::TrafficClass classify(
+      const transport::Flow& flow, std::optional<net::TrafficClass> force) const override;
   void build_nodes();
   void recompute_after_failure();
   // Re-wires one rotor switch's ports to the matching active *now* (used
@@ -175,7 +135,6 @@ class OperaNetwork : public Network {
   void on_slice_boundary(std::int64_t abs_slice);
   void allocate_bulk(int slice);
   void install_forwarding();
-  void install_host_handlers();
 
   // Uplink port index on a ToR for rotor switch `sw`.
   [[nodiscard]] int uplink_port(int sw) const {
@@ -185,33 +144,12 @@ class OperaNetwork : public Network {
   // `peer_rack` from `rack` in `slice`; -1 if none.
   [[nodiscard]] int uplink_to(int slice, std::int32_t rack, std::int32_t peer_rack) const;
 
-  [[nodiscard]] int shard_of_host(std::int32_t host) const {
-    return shard_of_rack(rack_of_host(host));
-  }
-
   OperaConfig config_;
   topo::OperaTopology topo_;
-  // The sharded engine: rack-granularity domains, lookahead = the inter-
-  // ToR link propagation delay (the minimum cross-shard event latency).
-  // Declared before the nodes so node ShardContext references outlive
-  // them. threads==1 collapses to the classic single-queue loop.
-  sim::ShardedSimulator engine_;
   sim::Rng rng_;  // coordinator-phase randomness only (bulk grant order)
-  transport::FlowTracker tracker_;
 
-  std::vector<std::unique_ptr<net::Host>> hosts_;
   std::vector<std::unique_ptr<net::Switch>> tors_;
-  std::vector<std::unique_ptr<transport::RotorLbAgent>> agents_;       // per host
   std::vector<std::unique_ptr<transport::RotorRelayBuffer>> relays_;   // per ToR
-  // Transport endpoints, owned per shard: they are created during shard
-  // phases (flow starts, first-packet sink creation), so each shard
-  // appends to its own pool.
-  struct EndpointPool {
-    std::vector<std::unique_ptr<transport::NdpSource>> ndp_sources;
-    std::vector<std::unique_ptr<transport::NdpSink>> ndp_sinks;
-    std::vector<std::unique_ptr<transport::RotorLbSink>> bulk_sinks;
-  };
-  std::vector<EndpointPool> endpoints_;  // [shard]
 
   // Per-slice low-latency ECMP tables (paper §4.3): eager or windowed.
   topo::SliceTableCache slice_tables_;

@@ -1,15 +1,18 @@
 #include "core/rotornet_network.h"
 
-#include <cassert>
 #include <cstdio>
 #include <numeric>
 
 namespace opera::core {
 
 RotorNetNetwork::RotorNetNetwork(const RotorNetConfig& config)
-    : config_(config), topo_(config.structure), rng_(config.seed) {
+    : PacketNetwork(config.structure.num_racks, config.hosts_per_rack, config.link,
+                    config.ndp, config.threads, BulkTransport::kRotorLb),
+      config_(config),
+      topo_(config.structure),
+      rng_(config.seed) {
   build();
-  sim_.schedule_at(sim::Time::zero(), [this] { on_slice_boundary(0); });
+  engine_.global().schedule_at(sim::Time::zero(), [this] { on_slice_boundary(0); });
 }
 
 void RotorNetNetwork::build() {
@@ -18,22 +21,17 @@ void RotorNetNetwork::build() {
   const bool hybrid = config_.structure.hybrid;
   const auto n = config_.structure.num_racks;
   const auto tor_q = config_.tor_queue_config();
-  const auto host_q = config_.host_queue_config();
-  const double rate = config_.link.rate_bps;
-  const sim::Time prop = config_.link.propagation;
+  const int ports = d + rotors + (hybrid ? 1 : 0);
 
   if (hybrid) {
-    core_ = std::make_unique<net::Switch>(sim_, "core", 0);
-    for (topo::Vertex r = 0; r < n; ++r) core_->add_port(rate, prop, tor_q);
+    core_ = make_switch("core", 0, /*shard=*/0, n, tor_q);
     core_->set_forward([](net::Switch&, const net::Packet& pkt, int) {
       return pkt.dst_rack;
     });
   }
 
   for (topo::Vertex r = 0; r < n; ++r) {
-    auto tor = std::make_unique<net::Switch>(sim_, "tor" + std::to_string(r), r);
-    const int ports = d + rotors + (hybrid ? 1 : 0);
-    for (int p = 0; p < ports; ++p) tor->add_port(rate, prop, tor_q);
+    auto tor = make_switch("tor" + std::to_string(r), r, shard_of_rack(r), ports, tor_q);
     if (hybrid) {
       tor->port(core_port()).connect(core_.get(), r);
       core_->port(r).connect(tor.get(), -1);
@@ -41,17 +39,7 @@ void RotorNetNetwork::build() {
     relays_.push_back(std::make_unique<transport::RotorRelayBuffer>(n));
     tors_.push_back(std::move(tor));
   }
-  for (topo::Vertex r = 0; r < n; ++r) {
-    for (int i = 0; i < d; ++i) {
-      const auto id = static_cast<std::int32_t>(r) * d + i;
-      auto host = std::make_unique<net::Host>(sim_, "host" + std::to_string(id), id, r);
-      host->add_port(rate, prop, host_q);
-      host->uplink().connect(tors_[static_cast<std::size_t>(r)].get(), i);
-      tors_[static_cast<std::size_t>(r)]->port(i).connect(host.get(), 0);
-      agents_.push_back(std::make_unique<transport::RotorLbAgent>(*host, tracker_, n));
-      hosts_.push_back(std::move(host));
-    }
-  }
+  build_hosts(tors_, config_.host_queue_config());
 
   for (auto& tor : tors_) {
     tor->set_intercept([this](net::Switch& swch, net::PacketPtr& pkt, int) {
@@ -80,54 +68,28 @@ void RotorNetNetwork::build() {
       const int sw = uplink_to(current_slice_, rack, target);
       return sw < 0 ? -1 : uplink_port(sw);
     });
-    // Loss notification: RotorNet has no always-on in-band path (all rotors
-    // blink together), so NACKs are delivered through the control plane —
-    // modeled as a direct out-of-band notification to the source agent.
-    const auto oob_nack = [this](const net::Packet& pkt) {
-      if (pkt.type == net::PacketType::kData &&
-          pkt.tclass == net::TrafficClass::kBulk) {
-        agents_[static_cast<std::size_t>(pkt.src_host)]->handle_nack(pkt.flow_id,
-                                                                     pkt.seq);
-      }
-    };
-    tor->set_drop_hook([oob_nack](net::Switch&, const net::Packet& pkt) { oob_nack(pkt); });
-    const int ports = d + topo_.num_rotor_switches() + (hybrid ? 1 : 0);
+    tor->set_drop_hook(
+        [this](net::Switch& swch, const net::Packet& pkt) { nack_out_of_band(swch, pkt); });
+    net::Switch* tor_ptr = tor.get();
     for (int p = 0; p < ports; ++p) {
-      tor->port(p).queue().set_bulk_drop_handler(oob_nack);
+      tor->port(p).queue().set_bulk_drop_handler(
+          [this, tor_ptr](const net::Packet& pkt) { nack_out_of_band(*tor_ptr, pkt); });
     }
   }
+}
 
-  for (auto& host : hosts_) {
-    host->set_default_handler([this](net::Host& h, net::PacketPtr pkt) {
-      const transport::Flow* flow = tracker_.find(pkt->flow_id);
-      if (flow == nullptr) return;
-      if (pkt->type == net::PacketType::kNack) {
-        if (flow->src_host == h.id() && flow->tclass == net::TrafficClass::kBulk) {
-          agents_[static_cast<std::size_t>(h.id())]->handle_nack(flow->id, pkt->seq);
-        }
-        return;
-      }
-      if (pkt->type != net::PacketType::kData && pkt->type != net::PacketType::kHeader) {
-        return;
-      }
-      if (flow->dst_host != h.id()) return;
-      if (flow->tclass == net::TrafficClass::kBulk) {
-        auto sink = std::make_unique<transport::RotorLbSink>(h, *flow, tracker_);
-        auto* raw = sink.get();
-        bulk_sinks_.push_back(std::move(sink));
-        h.register_flow(flow->id,
-                        [raw](net::PacketPtr p) { raw->on_packet(std::move(p)); });
-        raw->on_packet(std::move(pkt));
-      } else {
-        auto sink = std::make_unique<transport::NdpSink>(h, *flow, tracker_);
-        auto* raw = sink.get();
-        ndp_sinks_.push_back(std::move(sink));
-        h.register_flow(flow->id,
-                        [raw](net::PacketPtr p) { raw->on_packet(std::move(p)); });
-        raw->on_packet(std::move(pkt));
-      }
-    });
-  }
+void RotorNetNetwork::nack_out_of_band(net::Switch& tor, const net::Packet& pkt) {
+  if (pkt.type != net::PacketType::kData || pkt.tclass != net::TrafficClass::kBulk) return;
+  // RotorNet has no always-on in-band path (all rotors blink together), so
+  // NACKs travel through the control plane: modeled as a notification that
+  // reaches the source host's agent one link propagation later. The fixed
+  // delay keeps it inside the lookahead, so it is identical at every shard
+  // count.
+  transport::RotorLbAgent* agent = agents_[static_cast<std::size_t>(pkt.src_host)].get();
+  tor.ctx().post(agent->host().ctx(), tor.ctx().now() + config_.link.propagation,
+                 [agent, flow_id = pkt.flow_id, seq = pkt.seq] {
+                   agent->handle_nack(flow_id, seq);
+                 });
 }
 
 int RotorNetNetwork::uplink_to(int slice, std::int32_t rack, std::int32_t peer) const {
@@ -140,7 +102,6 @@ int RotorNetNetwork::uplink_to(int slice, std::int32_t rack, std::int32_t peer) 
 void RotorNetNetwork::on_slice_boundary(std::int64_t abs_slice) {
   current_slice_ = static_cast<int>(abs_slice % topo_.num_slices());
   const int slice = current_slice_;
-  const int d = config_.hosts_per_rack;
 
   // All rotors retarget at once: every uplink goes dark for the
   // reconfiguration delay (this is RotorNet's fundamental difference from
@@ -148,18 +109,14 @@ void RotorNetNetwork::on_slice_boundary(std::int64_t abs_slice) {
   for (auto& tor : tors_) {
     for (int sw = 0; sw < topo_.num_rotor_switches(); ++sw) {
       auto& port = tor->port(uplink_port(sw));
-      port.queue().flush([this](const net::Packet& pkt) {
-        if (pkt.type == net::PacketType::kData &&
-            pkt.tclass == net::TrafficClass::kBulk) {
-          agents_[static_cast<std::size_t>(pkt.src_host)]->handle_nack(pkt.flow_id,
-                                                                       pkt.seq);
-        }
-      });
+      port.queue().flush([this, &tor](const net::Packet& pkt) { nack_out_of_band(*tor, pkt); });
       port.set_enabled(false);
     }
   }
-  sim_.schedule_in(config_.slice.reconfiguration, [this, slice] {
-    const int d_local = config_.hosts_per_rack;
+  // The rotors settle on the next matching after the reconfiguration delay
+  // (a global event: it touches ports in every shard).
+  engine_.global().schedule_in(config_.slice.reconfiguration, [this, slice] {
+    const int d = config_.hosts_per_rack;
     for (std::size_t r = 0; r < tors_.size(); ++r) {
       for (int sw = 0; sw < topo_.num_rotor_switches(); ++sw) {
         const topo::Vertex peer =
@@ -168,7 +125,7 @@ void RotorNetNetwork::on_slice_boundary(std::int64_t abs_slice) {
         if (peer == static_cast<topo::Vertex>(r)) {
           port.set_enabled(false);
         } else {
-          port.connect(tors_[static_cast<std::size_t>(peer)].get(), d_local + sw);
+          port.connect(tors_[static_cast<std::size_t>(peer)].get(), d + sw);
           port.set_enabled(true);
         }
       }
@@ -176,9 +133,8 @@ void RotorNetNetwork::on_slice_boundary(std::int64_t abs_slice) {
     allocate_bulk(slice);
   });
 
-  (void)d;
-  sim_.schedule_in(config_.slice.duration,
-                   [this, abs_slice] { on_slice_boundary(abs_slice + 1); });
+  engine_.global().schedule_in(config_.slice.duration,
+                               [this, abs_slice] { on_slice_boundary(abs_slice + 1); });
 }
 
 void RotorNetNetwork::allocate_bulk(int slice) {
@@ -230,40 +186,14 @@ void RotorNetNetwork::allocate_bulk(int slice) {
   }
 }
 
-std::uint64_t RotorNetNetwork::submit_flow(std::int32_t src_host, std::int32_t dst_host,
-                                           std::int64_t size_bytes, sim::Time start,
-                                           std::optional<net::TrafficClass> force) {
-  assert(src_host != dst_host);
-  transport::Flow flow;
-  flow.id = tracker_.next_flow_id();
-  flow.src_host = src_host;
-  flow.dst_host = dst_host;
-  flow.src_rack = rack_of_host(src_host);
-  flow.dst_rack = rack_of_host(dst_host);
-  flow.size_bytes = size_bytes;
-  flow.start = start;
-  if (force.has_value()) {
-    flow.tclass = *force;
-  } else if (!config_.structure.hybrid) {
-    // No packet-switched path: everything waits for circuits.
-    flow.tclass = net::TrafficClass::kBulk;
-  } else {
-    flow.tclass = size_bytes >= bulk_threshold_bytes ? net::TrafficClass::kBulk
-                                                     : net::TrafficClass::kLowLatency;
-  }
-  if (flow.src_rack == flow.dst_rack) flow.tclass = net::TrafficClass::kLowLatency;
-  tracker_.register_flow(flow);
-  sim_.schedule_at(start, [this, flow] {
-    if (flow.tclass == net::TrafficClass::kBulk) {
-      agents_[static_cast<std::size_t>(flow.src_host)]->add_flow(flow);
-    } else {
-      auto source = std::make_unique<transport::NdpSource>(host(flow.src_host), flow,
-                                                           tracker_, config_.ndp);
-      source->start();
-      ndp_sources_.push_back(std::move(source));
-    }
-  });
-  return flow.id;
+net::TrafficClass RotorNetNetwork::classify(const transport::Flow& flow,
+                                            std::optional<net::TrafficClass> force) const {
+  if (flow.src_rack == flow.dst_rack) return net::TrafficClass::kLowLatency;
+  if (force.has_value()) return *force;
+  // No packet-switched path: everything waits for circuits.
+  if (!config_.structure.hybrid) return net::TrafficClass::kBulk;
+  return flow.size_bytes >= config_.bulk_threshold_bytes ? net::TrafficClass::kBulk
+                                                         : net::TrafficClass::kLowLatency;
 }
 
 std::string RotorNetNetwork::describe() const {

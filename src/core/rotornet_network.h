@@ -3,6 +3,9 @@
 // hybrid variant donates one ToR uplink to an (idealized, non-blocking)
 // packet-switched core that carries low-latency traffic with NDP — this
 // favors the baseline, and is documented in DESIGN.md as a substitution.
+// Each ToR lives on its rack's shard (the hybrid core on shard 0); slice
+// boundaries and rotor settles are coordinator (global) events, as in
+// Opera.
 #pragma once
 
 #include <cstdint>
@@ -11,13 +14,10 @@
 #include <vector>
 
 #include "core/config.h"
-#include "core/network.h"
-#include "net/host.h"
+#include "core/packet_network.h"
 #include "net/switch.h"
 #include "sim/rng.h"
-#include "sim/simulator.h"
 #include "topo/rotornet.h"
-#include "transport/flow.h"
 #include "transport/ndp.h"
 #include "transport/rotorlb.h"
 
@@ -29,7 +29,11 @@ struct RotorNetConfig {
   LinkParams link;
   SliceParams slice;
   transport::NdpConfig ndp;
+  // Hybrid only: flows at or above this size are bulk (RotorLB over the
+  // rotors); smaller ones ride NDP through the packet core.
+  std::int64_t bulk_threshold_bytes = 15'000'000;
   std::uint64_t seed = 42;
+  int threads = 0;  // shard count; see PacketNetwork
 
   [[nodiscard]] net::PortQueue::Config tor_queue_config() const {
     net::PortQueue::Config q;
@@ -57,44 +61,24 @@ struct RotorNetConfig {
   }
 };
 
-class RotorNetNetwork : public Network {
+class RotorNetNetwork : public PacketNetwork {
  public:
   explicit RotorNetNetwork(const RotorNetConfig& config);
 
-  // Non-hybrid: every flow is bulk (RotorLB). Hybrid: flows are NDP
-  // low-latency through the packet core unless bulk-classified (>= 15 MB
-  // by default) or forced.
-  std::uint64_t submit_flow(
-      std::int32_t src_host, std::int32_t dst_host, std::int64_t size_bytes,
-      sim::Time start,
-      std::optional<net::TrafficClass> force = std::nullopt) override;
-
-  void run_until(sim::Time t) override { sim_.run_until(t); }
-
-  [[nodiscard]] sim::Simulator& sim() override { return sim_; }
-  [[nodiscard]] const sim::Simulator& sim() const override { return sim_; }
-  [[nodiscard]] transport::FlowTracker& tracker() override { return tracker_; }
-  [[nodiscard]] const transport::FlowTracker& tracker() const override {
-    return tracker_;
-  }
   [[nodiscard]] const RotorNetConfig& config() const { return config_; }
-  [[nodiscard]] std::int32_t num_hosts() const override {
-    return static_cast<std::int32_t>(hosts_.size());
-  }
-  [[nodiscard]] std::int32_t num_racks() const override {
-    return static_cast<std::int32_t>(config_.structure.num_racks);
-  }
-  [[nodiscard]] net::Host& host(std::int32_t id) {
-    return *hosts_[static_cast<std::size_t>(id)];
-  }
-  [[nodiscard]] std::int32_t rack_of_host(std::int32_t host) const override {
-    return host / config_.hosts_per_rack;
-  }
   [[nodiscard]] std::string describe() const override;
-  std::int64_t bulk_threshold_bytes = 15'000'000;
 
  private:
+  // Non-hybrid: every flow is bulk (RotorLB). Hybrid: flows are NDP
+  // low-latency through the packet core unless bulk-classified (>=
+  // bulk_threshold_bytes) or forced. Intra-rack flows are always
+  // low-latency (one ToR hop).
+  [[nodiscard]] net::TrafficClass classify(
+      const transport::Flow& flow, std::optional<net::TrafficClass> force) const override;
   void build();
+  // Out-of-band RotorLB loss notification for a dropped bulk packet,
+  // posted from `tor`'s domain into the source host's.
+  void nack_out_of_band(net::Switch& tor, const net::Packet& pkt);
   void on_slice_boundary(std::int64_t abs_slice);
   void allocate_bulk(int slice);
   [[nodiscard]] int uplink_port(int sw) const { return config_.hosts_per_rack + sw; }
@@ -105,17 +89,10 @@ class RotorNetNetwork : public Network {
 
   RotorNetConfig config_;
   topo::RotorNetTopology topo_;
-  sim::Simulator sim_;
   sim::Rng rng_;
-  transport::FlowTracker tracker_;
-  std::vector<std::unique_ptr<net::Host>> hosts_;
   std::vector<std::unique_ptr<net::Switch>> tors_;
   std::unique_ptr<net::Switch> core_;  // hybrid only: idealized big switch
-  std::vector<std::unique_ptr<transport::RotorLbAgent>> agents_;
   std::vector<std::unique_ptr<transport::RotorRelayBuffer>> relays_;
-  std::vector<std::unique_ptr<transport::NdpSource>> ndp_sources_;
-  std::vector<std::unique_ptr<transport::NdpSink>> ndp_sinks_;
-  std::vector<std::unique_ptr<transport::RotorLbSink>> bulk_sinks_;
   int current_slice_ = 0;
 };
 

@@ -20,14 +20,14 @@ namespace opera::exp {
 enum class OutputFormat : std::uint8_t { kHuman, kCsv, kJson };
 
 // Flags shared by all bench binaries: --full (paper scale), --csv, --json,
-// --threads=N (sharded event loop; Opera fabrics), --engine=NAME
+// --threads=N (sharded event loop; every packet fabric), --engine=NAME
 // (simulation engine; Opera fabrics). Unknown arguments are ignored so
 // binaries can add their own.
 struct CliOptions {
   bool full = false;
   OutputFormat format = OutputFormat::kHuman;
-  // Shard count for fabrics that support the sharded event loop; 0 = the
-  // config/env default (see core::OperaConfig::threads).
+  // Shard count for the sharded event loop; 0 = the config/env default
+  // (see core::PacketNetwork).
   int threads = 0;
   // Simulation engine override (packet | fluid | hybrid), applied by
   // exp::Experiment to any run whose config didn't pin one itself; empty

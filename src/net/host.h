@@ -21,8 +21,6 @@ class Host : public Node {
 
   Host(sim::ShardContext& ctx, std::string name, std::int32_t id, std::int32_t rack)
       : Node(ctx, std::move(name)), id_(id), rack_(rack) {}
-  Host(sim::Simulator& sim, std::string name, std::int32_t id, std::int32_t rack)
-      : Node(sim, std::move(name)), id_(id), rack_(rack) {}
 
   [[nodiscard]] std::int32_t id() const { return id_; }
   [[nodiscard]] std::int32_t rack() const { return rack_; }

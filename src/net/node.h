@@ -9,9 +9,7 @@
 // Event posting goes through the node's sim::ShardContext — the shard
 // handle — rather than a global simulator: packet arrivals are posted into
 // the *peer's* domain (a mailbox hop when the peer lives on another
-// shard), local timers stay on the node's own queue. Unsharded fabrics
-// construct nodes with a plain Simulator&, which wraps it in a standalone
-// context and behaves exactly as before.
+// shard), local timers stay on the node's own queue.
 #pragma once
 
 #include <cstdint>
@@ -115,13 +113,8 @@ class OutPort {
 
 class Node {
  public:
-  // Sharded construction: the node lives in `ctx`'s domain.
+  // The node lives in `ctx`'s domain.
   Node(sim::ShardContext& ctx, std::string name) : ctx_(&ctx), name_(std::move(name)) {}
-  // Unsharded construction: wraps `sim` in a standalone context.
-  Node(sim::Simulator& sim, std::string name)
-      : owned_ctx_(std::make_unique<sim::ShardContext>(sim)),
-        ctx_(owned_ctx_.get()),
-        name_(std::move(name)) {}
   virtual ~Node() = default;
 
   Node(const Node&) = delete;
@@ -142,7 +135,6 @@ class Node {
   [[nodiscard]] sim::ShardContext& ctx() { return *ctx_; }
 
  private:
-  std::unique_ptr<sim::ShardContext> owned_ctx_;  // legacy-ctor wrapper only
   sim::ShardContext* ctx_;
   std::string name_;
   std::vector<std::unique_ptr<OutPort>> ports_;

@@ -39,7 +39,9 @@ bool parse_i64(std::string_view text, std::int64_t* out) {
   char* end = nullptr;
   // Section values are tokenized on spaces already, so strtoll's
   // leading-whitespace tolerance never hides a malformed field.
-  const long long v = std::strtoll(std::string(text).c_str(), &end, 10);
+  // `end` points into `str`, which must outlive the check below.
+  const std::string str(text);
+  const long long v = std::strtoll(str.c_str(), &end, 10);
   if (errno != 0 || end == nullptr || *end != '\0') return false;
   *out = static_cast<std::int64_t>(v);
   return true;
@@ -49,7 +51,9 @@ bool parse_hex_u64(std::string_view text, std::uint64_t* out) {
   if (text.empty()) return false;
   errno = 0;
   char* end = nullptr;
-  const unsigned long long v = std::strtoull(std::string(text).c_str(), &end, 16);
+  // `end` points into `str`, which must outlive the check below.
+  const std::string str(text);
+  const unsigned long long v = std::strtoull(str.c_str(), &end, 16);
   if (errno != 0 || end == nullptr || *end != '\0') return false;
   *out = static_cast<std::uint64_t>(v);
   return true;

@@ -21,12 +21,12 @@ void ShardContext::post(ShardContext& dst, Time at, SmallCallback fn) {
   // Derive the key from the causal parent (the executing event's dispatch
   // frame, thread-local) via the *source* simulator — the parent executed
   // there; outside any dispatch this falls back to the source's root
-  // counter, which is fine for standalone contexts and test seeding.
+  // counter (test seeding).
+  assert(owner_ == dst.owner_);
   const std::uint64_t key = sim_->derive_key();
-  if (owner_ == nullptr || owner_ != dst.owner_ || dst.shard_ == shard_) {
-    // Same shard, standalone, or foreign engine: the destination queue is
-    // only ever touched by the thread running this domain — schedule
-    // directly.
+  if (dst.shard_ == shard_) {
+    // Same shard: the destination queue is only ever touched by the thread
+    // running this domain — schedule directly.
     dst.sim_->schedule_keyed_at(at, key, std::move(fn));
     return;
   }
@@ -44,12 +44,10 @@ ShardedSimulator::ShardedSimulator(int num_shards, Time lookahead)
         "ShardedSimulator: multi-shard execution requires a positive "
         "conservative lookahead (the minimum cross-shard event latency)");
   }
-  global_.set_key_mode(Simulator::KeyMode::kCausal);
   shards_.reserve(static_cast<std::size_t>(num_shards));
   contexts_.reserve(static_cast<std::size_t>(num_shards));
   for (int s = 0; s < num_shards; ++s) {
     shards_.push_back(std::make_unique<Simulator>());
-    shards_.back()->set_key_mode(Simulator::KeyMode::kCausal);
     contexts_.push_back(ShardContext(*shards_.back(), this, s));
   }
   mailboxes_.resize(static_cast<std::size_t>(num_shards) *

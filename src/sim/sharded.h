@@ -14,7 +14,7 @@
 //
 // Determinism. Being *parallel* is easy; being bit-identical to the
 // 1-shard run is the contract. Every event carries a causal order key
-// (Simulator::KeyMode::kCausal): roots get partition-independent counter
+// (see sim/simulator.h): roots get partition-independent counter
 // keys (seed()), children hash their parent's key — so a key depends only
 // on the event's causal ancestry, never on which queue it sits in or when
 // it arrived there. Each shard's calendar queue orders by (time, key);
@@ -57,13 +57,10 @@ class ShardedSimulator;
 
 // A shard's scheduling handle: what network components hold instead of a
 // raw Simulator&. Same-shard work schedules directly; cross-shard work is
-// routed through the owner's mailboxes. A standalone ShardContext (no
-// owner) wraps an external Simulator so unsharded fabrics and tests run
-// unchanged — post() then always degenerates to a direct schedule.
+// routed through the owning engine's mailboxes. Contexts exist only inside
+// a ShardedSimulator (a 1-shard engine is the single-queue case).
 class ShardContext {
  public:
-  explicit ShardContext(Simulator& sim) : sim_(&sim) {}
-
   [[nodiscard]] Simulator& sim() { return *sim_; }
   [[nodiscard]] const Simulator& sim() const { return *sim_; }
   [[nodiscard]] Time now() const { return sim_->now(); }
@@ -91,8 +88,8 @@ class ShardContext {
       : sim_(&sim), owner_(owner), shard_(shard) {}
 
   Simulator* sim_;
-  ShardedSimulator* owner_ = nullptr;
-  int shard_ = 0;
+  ShardedSimulator* owner_;
+  int shard_;
 };
 
 class ShardedSimulator {

@@ -10,7 +10,6 @@ Simulator::FrameGuard::FrameGuard(DispatchFrame* frame) : prev(t_frame_) {
 Simulator::FrameGuard::~FrameGuard() { t_frame_ = prev; }
 
 std::uint64_t Simulator::derive_key() {
-  if (key_mode_ == KeyMode::kSequential) return next_key_++;
   DispatchFrame* frame = t_frame_;
   if (frame == nullptr) return next_key_++;  // root event
   // Hash (parent key, child index): depends only on ancestry, so the same
@@ -36,9 +35,10 @@ std::uint64_t Simulator::run_until(Time until) {
     dispatch_one(frame);
     ++n;
   }
-  if (queue_.empty() || queue_.next_time() > until) {
+  if (!stopped_ && (queue_.empty() || queue_.next_time() > until)) {
     // Advance the clock to the horizon even if no event landed exactly there,
-    // so back-to-back run_until() calls see monotonic time.
+    // so back-to-back run_until() calls see monotonic time. An early stop
+    // keeps the stop point (run_with_progress reads it as ended_at).
     if (until > now_ && until != Time::infinity()) now_ = until;
   }
   events_executed_ += n;

@@ -1,23 +1,16 @@
 // Simulator: the event loop plus the simulation clock.
 //
-// Every event carries a 64-bit equal-time order key (see sim/event_queue.h).
-// Two key modes:
-//
-//   * kSequential (default) — keys come from a monotone counter, so
-//     equal-time events fire in schedule order: the classic single-queue
-//     behavior, bit-identical to the historical simulator.
-//
-//   * kCausal — an event's key is derived by hashing the key of the event
-//     that *scheduled* it (its causal parent) with a per-parent child
-//     index; events scheduled outside any dispatch get keys from a root
-//     counter. Causal keys depend only on the event's ancestry — never on
-//     the order events entered a particular queue — which is what lets a
-//     sharded simulation (sim/sharded.h) split one event population across
-//     N queues and still resolve every equal-time tie exactly as the
-//     1-shard run would. The executing event's key is tracked in a
-//     thread-local dispatch frame, so a callback that schedules onto a
-//     *different* simulator (a cross-shard post) still derives from its
-//     true parent.
+// Every event carries a 64-bit equal-time order key (see sim/event_queue.h),
+// derived causally: an event's key is a hash of the key of the event that
+// *scheduled* it (its causal parent) and a per-parent child index; events
+// scheduled outside any dispatch get keys from a root counter. Causal keys
+// depend only on the event's ancestry — never on the order events entered a
+// particular queue — which is what lets a sharded simulation (sim/sharded.h)
+// split one event population across N queues and still resolve every
+// equal-time tie exactly as the 1-shard run would. The executing event's
+// key is tracked in a thread-local dispatch frame, so a callback that
+// schedules onto a *different* simulator (a cross-shard post) still derives
+// from its true parent.
 #pragma once
 
 #include <cstdint>
@@ -39,9 +32,7 @@ namespace opera::sim {
 
 class Simulator {
  public:
-  enum class KeyMode : std::uint8_t { kSequential, kCausal };
-
-  // Key-space layout in causal mode (collisions across spaces would make
+  // Key-space layout (collisions across spaces would make
   // a tie-break depend on insertion order; spaces keep the deliberate keys
   // disjoint, and hash keys collide with probability ~2^-63):
   //   [0, 2^62)            root events (per-simulator counter)
@@ -51,9 +42,6 @@ class Simulator {
   static constexpr std::uint64_t kDerivedKeyBit = 1ULL << 63;
 
   [[nodiscard]] Time now() const { return now_; }
-
-  void set_key_mode(KeyMode mode) { key_mode_ = mode; }
-  [[nodiscard]] KeyMode key_mode() const { return key_mode_; }
 
   // Schedules `fn` `delay` after the current time.
   EventHandle schedule_in(Time delay, EventQueue::Callback fn) {
@@ -70,13 +58,14 @@ class Simulator {
     return queue_.schedule_keyed(at < now_ ? now_ : at, key, std::move(fn));
   }
 
-  // The order key for a new event scheduled right now, per key_mode():
-  // derived from the executing event's dispatch frame when inside a
+  // The order key for a new event scheduled right now: derived from the executing event's dispatch frame when inside a
   // dispatch, from the root counter otherwise.
   [[nodiscard]] std::uint64_t derive_key();
 
   // Runs events until the queue drains or `until` is reached, whichever is
-  // first. Returns the number of events executed.
+  // first, then advances the clock to `until` — unless stop() was called,
+  // which leaves the clock at the stop point. Returns the number of events
+  // executed.
   std::uint64_t run_until(Time until);
 
   // Runs until the queue drains (or stop() is called).
@@ -132,9 +121,8 @@ class Simulator {
   EventQueue queue_;
   Time now_ = Time::zero();
   bool stopped_ = false;
-  KeyMode key_mode_ = KeyMode::kSequential;
   std::uint64_t events_executed_ = 0;
-  std::uint64_t next_key_ = 0;  // sequential keys / causal root counter
+  std::uint64_t next_key_ = 0;  // root-event counter
 };
 
 }  // namespace opera::sim

@@ -26,6 +26,9 @@ struct ClosParams {
   int num_pods = 0;           // 0 = maximum (k pods)
   [[nodiscard]] int tor_uplinks() const { return radix / (oversubscription + 1); }
   [[nodiscard]] int hosts_per_tor() const { return radix - tor_uplinks(); }
+  // Pods actually built (num_pods, or the k-pod maximum) and their ToRs.
+  [[nodiscard]] int pods() const { return num_pods > 0 ? num_pods : radix; }
+  [[nodiscard]] int num_tors() const { return pods() * (radix / 2); }
 };
 
 class FoldedClos {

@@ -130,20 +130,4 @@ void NdpSink::on_packet(net::PacketPtr pkt) {
   }
 }
 
-void install_ndp_sink_factory(net::Host& host, FlowTracker& tracker,
-                              std::vector<std::unique_ptr<NdpSink>>& sinks) {
-  host.set_default_handler([&tracker, &sinks](net::Host& h, net::PacketPtr pkt) {
-    if (pkt->type != net::PacketType::kData && pkt->type != net::PacketType::kHeader) {
-      return;  // stray control for a finished flow
-    }
-    const Flow* flow = tracker.find(pkt->flow_id);
-    if (flow == nullptr) return;
-    auto sink = std::make_unique<NdpSink>(h, *flow, tracker);
-    NdpSink* raw = sink.get();
-    sinks.push_back(std::move(sink));
-    h.register_flow(flow->id, [raw](net::PacketPtr p) { raw->on_packet(std::move(p)); });
-    raw->on_packet(std::move(pkt));
-  });
-}
-
 }  // namespace opera::transport

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -313,6 +314,44 @@ TEST(RunRecipe, MissingStateKeysRejected) {
   EXPECT_NE(err.find("fingerprint"), std::string::npos) << err;
 }
 
+TEST(RunRecipe, StaticFabricCheckpointResumesAtFourThreads) {
+  // The same permutation sweep on a folded Clos (its 72 hosts cover the
+  // 64-host workload), checkpointed mid-run at threads=1.
+  exp::RunRecipe recipe = make_recipe("");
+  recipe.fabric_label = "clos";
+  recipe.config = core::FabricConfig::make(core::FabricKind::kFoldedClos).scale(16, 4);
+  recipe.config.seed = 9;
+  const auto ref = replay(recipe, 1, sim::Time::ms(2));
+  const auto data = exp::make_run_checkpoint(recipe, *ref);
+  ref->run_until(recipe.horizon);
+  const std::uint64_t final_digest = digest_of(*ref);
+  const auto& ref_completions = ref->tracker().completions();
+  ASSERT_GT(ref_completions.size(), 0u);
+
+  const auto parsed = sim::parse_checkpoint(sim::write_checkpoint_text(data), "clos");
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  exp::RunRecipe restored;
+  sim::Time resume_time;
+  std::uint64_t resume_digest = 0;
+  ASSERT_EQ(exp::recipe_from_checkpoint(parsed.data, &restored, &resume_time,
+                                        &resume_digest),
+            "");
+  ASSERT_EQ(restored.config.kind, core::FabricKind::kFoldedClos);
+
+  auto net = replay(restored, 4, resume_time);
+  ASSERT_EQ(net->num_shards(), 4);
+  EXPECT_EQ(digest_of(*net), resume_digest);
+  net->run_until(restored.horizon);
+  EXPECT_EQ(digest_of(*net), final_digest);
+  EXPECT_EQ(net->events_executed(), ref->events_executed());
+  const auto& completions = net->tracker().completions();
+  ASSERT_EQ(completions.size(), ref_completions.size());
+  for (std::size_t i = 0; i < completions.size(); ++i) {
+    EXPECT_EQ(completions[i].flow.id, ref_completions[i].flow.id);
+    EXPECT_EQ(completions[i].end, ref_completions[i].end);
+  }
+}
+
 struct ReplayCase {
   const char* name;
   const char* scenario;
@@ -320,6 +359,10 @@ struct ReplayCase {
   // 3 ms, ...; gray injection spans 0-15 ms; skew from 2 ms).
   sim::Time mid;
 };
+
+// Without this gtest prints the struct's raw bytes, pointers included, into
+// the listed test name, so the name would change from one build to the next.
+void PrintTo(const ReplayCase& c, std::ostream* os) { *os << c.name; }
 
 class CheckpointReplay : public ::testing::TestWithParam<ReplayCase> {};
 

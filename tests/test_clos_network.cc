@@ -10,7 +10,6 @@ ClosNetConfig small_config() {
   cfg.structure.radix = 8;
   cfg.structure.oversubscription = 3;
   cfg.structure.num_pods = 4;  // 16 ToRs x 6 hosts = 96 hosts
-  cfg.seed = 5;
   return cfg;
 }
 

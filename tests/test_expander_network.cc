@@ -11,7 +11,6 @@ ExpanderNetConfig small_config() {
   cfg.structure.uplinks = 5;
   cfg.structure.hosts_per_tor = 3;  // 48 hosts
   cfg.structure.seed = 9;
-  cfg.seed = 10;
   return cfg;
 }
 

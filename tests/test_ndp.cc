@@ -9,7 +9,7 @@
 
 #include "net/host.h"
 #include "net/switch.h"
-#include "sim/simulator.h"
+#include "sim/sharded.h"
 
 namespace opera::transport {
 namespace {
@@ -26,18 +26,30 @@ class Star {
     sw_q.low_latency_capacity_bytes = switch_ll_capacity;  // trims beyond
     sw_q.control_capacity_bytes = 1'000'000;
 
-    sw = std::make_unique<net::Switch>(sim, "sw", 0);
+    sw = std::make_unique<net::Switch>(sim.shard(0), "sw", 0);
     for (int i = 0; i < n; ++i) {
       sw->add_port(10e9, sim::Time::ns(500), sw_q);
       // Two-step concat: `"h" + std::to_string(i)` trips GCC 12's
       // -Wrestrict false positive (GCC bug 105329) under -Werror.
       std::string host_name = "h";
       host_name += std::to_string(i);
-      auto host = std::make_unique<net::Host>(sim, std::move(host_name), i, 0);
+      auto host = std::make_unique<net::Host>(sim.shard(0), std::move(host_name), i, 0);
       host->add_port(10e9, sim::Time::ns(500), host_q);
       host->uplink().connect(sw.get(), i);
       sw->port(i).connect(host.get(), 0);
-      install_ndp_sink_factory(*host, tracker, sinks);
+      host->set_default_handler([this](net::Host& h, net::PacketPtr pkt) {
+        // First data packet of an unknown flow: create its sink.
+        if (pkt->type != net::PacketType::kData && pkt->type != net::PacketType::kHeader) {
+          return;
+        }
+        const Flow* flow = tracker.find(pkt->flow_id);
+        if (flow == nullptr) return;
+        auto sink = std::make_unique<NdpSink>(h, *flow, tracker);
+        NdpSink* raw = sink.get();
+        sinks.push_back(std::move(sink));
+        h.register_flow(flow->id, [raw](net::PacketPtr p) { raw->on_packet(std::move(p)); });
+        raw->on_packet(std::move(pkt));
+      });
       hosts.push_back(std::move(host));
     }
     sw->set_forward([](net::Switch&, const net::Packet& pkt, int) {
@@ -61,7 +73,7 @@ class Star {
     return f.id;
   }
 
-  sim::Simulator sim;
+  sim::ShardedSimulator sim{1, sim::Time::zero()};
   FlowTracker tracker;
   std::unique_ptr<net::Switch> sw;
   std::vector<std::unique_ptr<net::Host>> hosts;

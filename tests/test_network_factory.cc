@@ -9,6 +9,7 @@
 #include <memory>
 #include <vector>
 
+#include "fluid/fluid_network.h"
 #include "workload/synthetic.h"
 
 namespace opera::core {
@@ -192,6 +193,32 @@ TEST(Network, RunToCompletionStopsEarlyWithIdenticalFcts) {
   const auto& cl = late->tracker().completions();
   for (std::size_t i = 0; i < ce.size(); ++i) {
     EXPECT_EQ(ce[i].fct().to_us(), cl[i].fct().to_us());
+  }
+}
+
+TEST(Network, EarlyStopReportsStopTimeOnEveryFabricAndEngine) {
+  // The clock stays where the completion poll stopped the run; it is not
+  // parked at the horizon, even when the poll was the last pending event.
+  fluid::register_fluid_engines();
+  std::vector<FabricConfig> configs;
+  for (const auto kind : {FabricKind::kOpera, FabricKind::kFoldedClos,
+                          FabricKind::kExpander, FabricKind::kRotorNet}) {
+    configs.push_back(small_fabric(kind));
+  }
+  configs.push_back(small_fabric(FabricKind::kOpera));
+  configs.back().engine = EngineKind::kFluid;
+  const auto horizon = sim::Time::ms(200);
+  for (const auto& cfg : configs) {
+    const auto net = NetworkFactory::build(cfg);
+    for (const auto& f : fixed_workload(net->num_hosts(), 20, 11)) {
+      net->submit_flow(f.src, f.dst, f.bytes, f.start);
+    }
+    const auto status = net->run_to_completion(horizon);
+    const std::string label = net->describe() + " / " + engine_kind_name(cfg.engine);
+    EXPECT_TRUE(status.stopped_early) << label;
+    EXPECT_LT(status.ended_at, horizon) << label;
+    EXPECT_EQ(status.ended_at, net->sim().now()) << label;
+    EXPECT_EQ(net->tracker().completed(), 20u) << label;
   }
 }
 

@@ -17,10 +17,16 @@ PacketPtr data_packet(std::int32_t bytes, std::uint64_t flow = 1) {
   return pkt;
 }
 
+// Runs everything pending: 1 ms past now is far longer than any test's
+// traffic takes.
+void drain(sim::ShardedSimulator& engine) {
+  engine.run_until(engine.now() + sim::Time::ms(1));
+}
+
 // Test node that records arrivals.
 class RecorderNode : public Node {
  public:
-  RecorderNode(sim::Simulator& sim) : Node(sim, "recorder") {}
+  explicit RecorderNode(sim::ShardContext& ctx) : Node(ctx, "recorder") {}
   void receive(PacketPtr pkt, int in_port) override {
     arrivals.emplace_back(sim().now(), std::move(pkt));
     in_ports.push_back(in_port);
@@ -30,13 +36,14 @@ class RecorderNode : public Node {
 };
 
 TEST(OutPort, SerializationPlusPropagation) {
-  sim::Simulator sim;
-  RecorderNode src(sim);
-  RecorderNode dst(sim);
+  sim::ShardedSimulator engine(1, sim::Time::zero());
+  sim::ShardContext& ctx = engine.shard(0);
+  RecorderNode src(ctx);
+  RecorderNode dst(ctx);
   src.add_port(10e9, sim::Time::ns(500), PortQueue::Config{});
   src.port(0).connect(&dst, 3);
   src.port(0).send(data_packet(1500));
-  sim.run();
+  drain(engine);
   ASSERT_EQ(dst.arrivals.size(), 1u);
   // 1500 B at 10 Gb/s = 1.2 us, + 500 ns propagation.
   EXPECT_DOUBLE_EQ(dst.arrivals[0].first.to_us(), 1.7);
@@ -44,73 +51,78 @@ TEST(OutPort, SerializationPlusPropagation) {
 }
 
 TEST(OutPort, BackToBackPacketsSerialize) {
-  sim::Simulator sim;
-  RecorderNode src(sim);
-  RecorderNode dst(sim);
+  sim::ShardedSimulator engine(1, sim::Time::zero());
+  sim::ShardContext& ctx = engine.shard(0);
+  RecorderNode src(ctx);
+  RecorderNode dst(ctx);
   src.add_port(10e9, sim::Time::zero(), PortQueue::Config{});
   src.port(0).connect(&dst, 0);
   src.port(0).send(data_packet(1500));
   src.port(0).send(data_packet(1500));
-  sim.run();
+  drain(engine);
   ASSERT_EQ(dst.arrivals.size(), 2u);
   EXPECT_DOUBLE_EQ(dst.arrivals[0].first.to_us(), 1.2);
   EXPECT_DOUBLE_EQ(dst.arrivals[1].first.to_us(), 2.4);
 }
 
 TEST(OutPort, DisabledPortDropsSends) {
-  sim::Simulator sim;
-  RecorderNode src(sim);
-  RecorderNode dst(sim);
+  sim::ShardedSimulator engine(1, sim::Time::zero());
+  sim::ShardContext& ctx = engine.shard(0);
+  RecorderNode src(ctx);
+  RecorderNode dst(ctx);
   src.add_port(10e9, sim::Time::zero(), PortQueue::Config{});
   src.port(0).connect(&dst, 0);
   src.port(0).set_enabled(false);
   EXPECT_EQ(src.port(0).send(data_packet(1500)), EnqueueOutcome::kDropped);
-  sim.run();
+  drain(engine);
   EXPECT_TRUE(dst.arrivals.empty());
 }
 
 TEST(OutPort, ReEnableDrainsQueue) {
-  sim::Simulator sim;
-  RecorderNode src(sim);
-  RecorderNode dst(sim);
+  sim::ShardedSimulator engine(1, sim::Time::zero());
+  sim::ShardContext& ctx = engine.shard(0);
+  RecorderNode src(ctx);
+  RecorderNode dst(ctx);
   src.add_port(10e9, sim::Time::zero(), PortQueue::Config{});
   src.port(0).connect(&dst, 0);
   src.port(0).send(data_packet(1500));
   src.port(0).set_enabled(false);  // in-flight packet still delivers
   src.port(0).send(data_packet(1500));
-  sim.run_until(sim::Time::ms(1));
+  engine.run_until(sim::Time::ms(1));
   EXPECT_EQ(dst.arrivals.size(), 1u);
   src.port(0).set_enabled(true);
   // The packet queued before enable... was dropped at send time; queue empty.
-  sim.run_until(sim::Time::ms(2));
+  engine.run_until(sim::Time::ms(2));
   EXPECT_EQ(dst.arrivals.size(), 1u);
 }
 
 TEST(OutPort, RetargetMidFlightDeliversToOriginalPeer) {
-  sim::Simulator sim;
-  RecorderNode src(sim);
-  RecorderNode a(sim);
-  RecorderNode b(sim);
+  sim::ShardedSimulator engine(1, sim::Time::zero());
+  sim::ShardContext& ctx = engine.shard(0);
+  RecorderNode src(ctx);
+  RecorderNode a(ctx);
+  RecorderNode b(ctx);
   src.add_port(10e9, sim::Time::us(10), PortQueue::Config{});
   src.port(0).connect(&a, 0);
   src.port(0).send(data_packet(1500));
   // Retarget while the packet is on the wire: bits go to the old peer.
-  sim.run_until(sim::Time::us(2));
+  engine.run_until(sim::Time::us(2));
   src.port(0).connect(&b, 0);
-  sim.run();
+  drain(engine);
   EXPECT_EQ(a.arrivals.size(), 1u);
   EXPECT_TRUE(b.arrivals.empty());
   // The next send goes to the new peer.
   src.port(0).send(data_packet(1500));
-  sim.run();
+  drain(engine);
   EXPECT_EQ(b.arrivals.size(), 1u);
 }
 
 TEST(Switch, ForwardsByFunction) {
-  sim::Simulator sim;
-  Switch sw(sim, "sw", 0);
-  RecorderNode out0(sim);
-  RecorderNode out1(sim);
+  sim::ShardedSimulator engine(1, sim::Time::zero());
+  sim::ShardContext& ctx = engine.shard(0);
+  Switch sw(ctx, "sw", 0);
+  RecorderNode out0(ctx);
+  RecorderNode out1(ctx);
   sw.add_port(10e9, sim::Time::zero(), PortQueue::Config{});
   sw.add_port(10e9, sim::Time::zero(), PortQueue::Config{});
   sw.port(0).connect(&out0, 0);
@@ -120,7 +132,7 @@ TEST(Switch, ForwardsByFunction) {
   });
   sw.receive(data_packet(1500, 1), 0);
   sw.receive(data_packet(1500, 2), 0);
-  sim.run();
+  drain(engine);
   EXPECT_EQ(out0.arrivals.size(), 1u);
   EXPECT_EQ(out1.arrivals.size(), 1u);
   // Hop counter incremented.
@@ -128,8 +140,9 @@ TEST(Switch, ForwardsByFunction) {
 }
 
 TEST(Switch, DropHookFires) {
-  sim::Simulator sim;
-  Switch sw(sim, "sw", 0);
+  sim::ShardedSimulator engine(1, sim::Time::zero());
+  sim::ShardContext& ctx = engine.shard(0);
+  Switch sw(ctx, "sw", 0);
   int drops = 0;
   sw.set_forward([](Switch&, const Packet&, int) { return -1; });
   sw.set_drop_hook([&](Switch&, const Packet&) { ++drops; });
@@ -139,8 +152,9 @@ TEST(Switch, DropHookFires) {
 }
 
 TEST(Switch, InterceptConsumes) {
-  sim::Simulator sim;
-  Switch sw(sim, "sw", 0);
+  sim::ShardedSimulator engine(1, sim::Time::zero());
+  sim::ShardContext& ctx = engine.shard(0);
+  Switch sw(ctx, "sw", 0);
   PacketPtr captured;
   sw.set_intercept([&](Switch&, PacketPtr& pkt, int) {
     captured = std::move(pkt);
@@ -155,8 +169,9 @@ TEST(Switch, InterceptConsumes) {
 }
 
 TEST(Host, DispatchesByFlowAndDefault) {
-  sim::Simulator sim;
-  Host host(sim, "h", 0, 0);
+  sim::ShardedSimulator engine(1, sim::Time::zero());
+  sim::ShardContext& ctx = engine.shard(0);
+  Host host(ctx, "h", 0, 0);
   host.add_port(10e9, sim::Time::zero(), PortQueue::Config{});
   int flow_hits = 0;
   int default_hits = 0;
@@ -172,9 +187,10 @@ TEST(Host, DispatchesByFlowAndDefault) {
 }
 
 TEST(Host, PacerSpacesControl) {
-  sim::Simulator sim;
-  Host host(sim, "h", 0, 0);
-  RecorderNode peer(sim);
+  sim::ShardedSimulator engine(1, sim::Time::zero());
+  sim::ShardContext& ctx = engine.shard(0);
+  Host host(ctx, "h", 0, 0);
+  RecorderNode peer(ctx);
   host.add_port(10e9, sim::Time::zero(), PortQueue::Config{});
   host.uplink().connect(&peer, 0);
   for (int i = 0; i < 3; ++i) {
@@ -183,7 +199,7 @@ TEST(Host, PacerSpacesControl) {
     pull->size_bytes = kHeaderBytes;
     host.pace_control(std::move(pull));
   }
-  sim.run();
+  drain(engine);
   ASSERT_EQ(peer.arrivals.size(), 3u);
   // Spaced at >= MTU serialization time (1.2 us at 10 Gb/s).
   const double gap1 =

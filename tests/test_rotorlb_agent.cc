@@ -6,7 +6,7 @@
 #include <memory>
 
 #include "net/host.h"
-#include "sim/simulator.h"
+#include "sim/sharded.h"
 
 namespace opera::transport {
 namespace {
@@ -16,8 +16,8 @@ class Wire {
   Wire() {
     net::PortQueue::Config q;
     q.bulk_capacity_bytes = 100'000'000;
-    a = std::make_unique<net::Host>(sim, "a", 0, 0);
-    b = std::make_unique<net::Host>(sim, "b", 1, 1);
+    a = std::make_unique<net::Host>(sim.shard(0), "a", 0, 0);
+    b = std::make_unique<net::Host>(sim.shard(0), "b", 1, 1);
     a->add_port(10e9, sim::Time::ns(500), q);
     b->add_port(10e9, sim::Time::ns(500), q);
     a->uplink().connect(b.get(), 0);
@@ -39,7 +39,7 @@ class Wire {
     return f;
   }
 
-  sim::Simulator sim;
+  sim::ShardedSimulator sim{1, sim::Time::zero()};
   FlowTracker tracker;
   std::unique_ptr<net::Host> a;
   std::unique_ptr<net::Host> b;

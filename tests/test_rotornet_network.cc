@@ -54,6 +54,16 @@ TEST(RotorNetNetwork, HybridMixedTraffic) {
   EXPECT_LT(small.percentile(99), 100.0);
 }
 
+TEST(RotorNetNetwork, HybridBulkThresholdComesFromConfig) {
+  RotorNetConfig cfg = small_config(true);
+  cfg.bulk_threshold_bytes = 1'000'000;
+  RotorNetNetwork net(cfg);
+  const auto bulk = net.submit_flow(0, 60, 2'000'000, sim::Time::zero());
+  const auto small = net.submit_flow(0, 60, 500'000, sim::Time::zero());
+  EXPECT_EQ(net.tracker().find(bulk)->tclass, net::TrafficClass::kBulk);
+  EXPECT_EQ(net.tracker().find(small)->tclass, net::TrafficClass::kLowLatency);
+}
+
 TEST(RotorNetNetwork, IntraRackIsImmediate) {
   RotorNetNetwork net(small_config(false));
   net.submit_flow(0, 1, 50'000, sim::Time::zero());

@@ -10,7 +10,7 @@
 
 #include "net/host.h"
 #include "sim/ring.h"
-#include "sim/simulator.h"
+#include "sim/sharded.h"
 #include "transport/rotorlb.h"
 
 namespace opera::transport {
@@ -81,8 +81,8 @@ class AgentHarness {
   AgentHarness() {
     net::PortQueue::Config q;
     q.bulk_capacity_bytes = 100'000'000;
-    a = std::make_unique<net::Host>(sim, "a", 0, 0);
-    b = std::make_unique<net::Host>(sim, "b", 1, 1);
+    a = std::make_unique<net::Host>(sim.shard(0), "a", 0, 0);
+    b = std::make_unique<net::Host>(sim.shard(0), "b", 1, 1);
     a->add_port(10e9, sim::Time::ns(500), q);
     b->add_port(10e9, sim::Time::ns(500), q);
     a->uplink().connect(b.get(), 0);
@@ -104,7 +104,7 @@ class AgentHarness {
     agent->add_flow(f);
   }
 
-  sim::Simulator sim;
+  sim::ShardedSimulator sim{1, sim::Time::zero()};
   FlowTracker tracker;
   std::unique_ptr<net::Host> a;
   std::unique_ptr<net::Host> b;
@@ -128,7 +128,7 @@ TEST(SparseVoqAgent, VlbDrainsLongestFirstWithLowestRackTieBreak) {
   EXPECT_LT(dst_budget[3], 1'000'000);
   EXPECT_EQ(dst_budget[7], 1'000'000);
   EXPECT_EQ(dst_budget[9], 1'000'000);
-  h.sim.run();
+  h.sim.run_until(sim::Time::ms(1));
 }
 
 TEST(SparseVoqAgent, MemoryProbeTracksActiveDestinations) {
@@ -137,7 +137,7 @@ TEST(SparseVoqAgent, MemoryProbeTracksActiveDestinations) {
   for (int r = 1; r <= 40; ++r) h.add_bulk(20'000, r);
   EXPECT_GT(h.agent->memory_bytes(), before);
   EXPECT_EQ(h.agent->queued_bytes(41), 0);
-  h.sim.run();
+  h.sim.run_until(sim::Time::ms(1));
 }
 
 TEST(SparseVoqRelay, StoreTakeAndProbe) {
