@@ -7,7 +7,10 @@
 // size (e.g. the k=24 / 5184-host Opera sweeps from the ROADMAP), reports
 // construction wall-clock, and (unless --construct-only) drives one of the
 // standard synthetic workloads through it and reports completion and FCT
-// percentiles. --csv/--json choose the output rendering as usual.
+// percentiles. --csv/--json choose the output rendering as usual. With
+// --construct-only on an Opera fabric it also prints where the topology
+// build went: factorization restarts and failed draws, and the wall time
+// of factorization, slice acceptance test and slice tables.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -19,6 +22,8 @@
 #include "exp/run_guard.h"
 #include "exp/scenario.h"
 #include "sim/checkpoint.h"
+#include "sim/parallel.h"
+#include "topo/opera_topology.h"
 #include "workload/flow_size_dist.h"
 #include "workload/synthetic.h"
 
@@ -77,7 +82,9 @@ int usage() {
       "  --engine=packet|fluid|hybrid  simulation engine (Opera only;\n"
       "                    fluid integrates bulk flows as rate groups,\n"
       "                    hybrid splits by bulk threshold — docs/FLUID.md)\n"
-      "  --construct-only  build the network, skip the traffic run\n"
+      "  --construct-only  build the network, skip the traffic run; Opera\n"
+      "                    also rebuilds its topology and every slice\n"
+      "                    table once more to print a per-phase breakdown\n"
       "  --csv | --json    output format\n"
       "run guardrails (docs/CHECKPOINT.md):\n"
       "  --checkpoint-every=T  write a checkpoint every T ms of sim time\n"
@@ -93,6 +100,32 @@ int usage() {
       "                    then checkpoint + partial report + exit 44\n"
       "  SIGINT/SIGTERM    checkpoint + partial report + exit 42\n");
   return 2;
+}
+
+// Per-phase cost of an Opera topology build, from a second build with
+// stats collected. failed_draws / draws is the share of factorization
+// work thrown away. Slice tables are built for the whole cycle and
+// dropped as they finish (the network may keep only a window of them).
+void report_opera_build_phases(exp::Experiment& ex, const topo::OperaParams& params) {
+  topo::OperaBuildStats stats;
+  const topo::OperaTopology topo(params, &stats);
+  const auto tables_start = std::chrono::steady_clock::now();
+  sim::parallel_for(static_cast<std::size_t>(topo.num_slices()), [&](std::size_t s) {
+    const topo::EcmpTable table = topo.slice_routes(static_cast<int>(s));
+    static_cast<void>(table);
+  });
+  const double tables_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - tables_start)
+          .count();
+  const auto& f = stats.factorization;
+  const double wasted = f.draws > 0 ? static_cast<double>(f.failed_draws) / f.draws : 0.0;
+  auto& table = ex.report().table(
+      "build_phases", {"realizations", "restarts", "draws", "failed_draws",
+                       "wasted_frac", "factorization_s", "acceptance_s",
+                       "slice_tables_s"});
+  table.row({stats.realizations, f.restarts, f.draws, f.failed_draws,
+             exp::Value(wasted, 3), exp::Value(stats.factorization_s, 3),
+             exp::Value(stats.acceptance_s, 3), exp::Value(tables_s, 3)});
 }
 
 }  // namespace
@@ -221,7 +254,12 @@ int main(int argc, char** argv) {
       "build", {"fabric", "racks", "hosts", "construct_s"});
   build_table.row({net->describe(), net->num_racks(), net->num_hosts(),
                    exp::Value(build_seconds, 3)});
-  if (construct_only) return 0;
+  if (construct_only) {
+    if (config.kind == core::FabricKind::kOpera) {
+      report_opera_build_phases(ex, config.opera);
+    }
+    return 0;
+  }
 
   // Scenario wiring: a workload scenario replaces --workload; failure
   // scenarios arm coordinator-phase events before the run starts.

@@ -3,7 +3,7 @@
 simulation can be diffed bit-for-bit.
 
 Simulation output is deterministic; wall-clock measurements (construct_s,
-wall_s, the `# peak RSS` note) are not. The crash-resume check compares an
+wall_s, bench_custom's build-phase times, the `# peak RSS` note) are not. The crash-resume check compares an
 interrupted+resumed run against an uninterrupted reference, so those — and
 only those — fields are neutralized:
 
@@ -19,7 +19,8 @@ import csv
 import io
 import sys
 
-WALL_COLUMNS = {"construct_s", "wall_s"}
+WALL_COLUMNS = {"construct_s", "wall_s", "factorization_s", "acceptance_s",
+                "slice_tables_s"}
 DROP_NOTE_PREFIXES = ("# peak RSS",)
 
 

@@ -1,7 +1,9 @@
 #include "topo/one_factorization.h"
 
+#include <bit>
 #include <cassert>
 #include <cstdio>
+#include <numeric>
 #include <stdexcept>
 
 namespace opera::topo {
@@ -55,13 +57,10 @@ std::vector<Matching> circle_factorization(Vertex n) {
       }
       out.push_back(std::move(small));
     }
-    // K_{N+1} factorization has N+1 matchings; the identity round and one
-    // other round merge... they do not: each of the N+1 rounds is distinct.
-    // But the diagonal pair (v, v) is now covered multiple times (once in
-    // the identity round, once whenever v was the dummy's partner). Keep
-    // only rounds that are not the pure identity beyond the first.
-    // Simpler and still N matchings: drop the identity round entirely; the
-    // diagonal is covered by the self-matches created by the dummy.
+    // Dropping the dummy turns the identity round into the all-self
+    // matching, which would cover the diagonal a second time (the dummy's
+    // partner in every other round is already self-matched). Drop it,
+    // leaving N matchings.
     std::vector<Matching> filtered;
     for (auto& m : out) {
       bool identity = true;
@@ -98,47 +97,91 @@ std::vector<Matching> circle_factorization(Vertex n) {
   return out;
 }
 
-void alternating_cycle_swap(Matching& a, Matching& b, Vertex start) {
-  // Walk the alternating cycle start -a- v1 -b- v2 -a- ... until we return
-  // to start. Unions of two disjoint perfect matchings decompose into even
-  // cycles, so the walk terminates back at `start` on a b-edge.
-  std::vector<std::pair<Vertex, Vertex>> a_edges;
-  std::vector<std::pair<Vertex, Vertex>> b_edges;
-  Vertex cur = start;
-  bool use_a = true;
-  do {
-    const Vertex nxt = use_a ? a[static_cast<std::size_t>(cur)] : b[static_cast<std::size_t>(cur)];
-    (use_a ? a_edges : b_edges).emplace_back(cur, nxt);
-    cur = nxt;
-    use_a = !use_a;
-  } while (cur != start);
-  for (const auto& [p, q] : a_edges) {
-    b[static_cast<std::size_t>(p)] = q;
-    b[static_cast<std::size_t>(q)] = p;
-  }
-  for (const auto& [p, q] : b_edges) {
-    a[static_cast<std::size_t>(p)] = q;
-    a[static_cast<std::size_t>(q)] = p;
+RemainingGraph::RemainingGraph(Vertex n)
+    : n_(n),
+      words_((static_cast<std::size_t>(n) + 63) / 64),
+      bits_(static_cast<std::size_t>(n) * words_, 0) {
+  const auto sz = static_cast<std::size_t>(n);
+  for (std::size_t v = 0; v < sz; ++v) {
+    std::uint64_t* r = bits_.data() + v * words_;
+    for (std::size_t i = 0; i < sz / 64; ++i) r[i] = ~std::uint64_t{0};
+    if (sz % 64 != 0) r[sz / 64] = (std::uint64_t{1} << (sz % 64)) - 1;
+    r[v / 64] &= ~(std::uint64_t{1} << (v % 64));  // no self-loops
   }
 }
 
-// Uses randomized greedy matching with a local repair step: when a vertex
-// has no unmatched compatible partner left, it steals a compatible matched
-// vertex and releases that vertex's partner back into the pool. Returns an
-// empty matching on failure (repair budget exhausted or a vertex ran out
-// of compatible partners entirely).
-Matching random_disjoint_matching(Vertex n, const std::vector<std::uint8_t>& used,
-                                  sim::Rng& rng) {
+void RemainingGraph::remove_edge(Vertex v, Vertex w) {
+  const auto a = static_cast<std::size_t>(v);
+  const auto b = static_cast<std::size_t>(w);
+  bits_[a * words_ + b / 64] &= ~(std::uint64_t{1} << (b % 64));
+  bits_[b * words_ + a / 64] &= ~(std::uint64_t{1} << (a % 64));
+}
+
+void RemainingGraph::remove_matching(const Matching& m) {
+  assert(m.size() == static_cast<std::size_t>(n_));
+  for (Vertex v = 0; v < n_; ++v) remove_edge(v, m[static_cast<std::size_t>(v)]);
+}
+
+RemainingGraph RemainingGraph::without_vertex(Vertex skip) const {
+  assert(skip >= 0 && skip < n_);
+  RemainingGraph out(n_ - 1);
+  const std::size_t sw = static_cast<std::size_t>(skip) / 64;
+  const std::uint64_t low =
+      (std::uint64_t{1} << (static_cast<std::size_t>(skip) % 64)) - 1;
+  for (Vertex v = 0, j = 0; v < n_; ++v) {
+    if (v == skip) continue;
+    // Bit b of the new row is bit b (b < skip) or b+1 (b >= skip) of the
+    // old one: words below `sw` copy, the rest shift down by one with the
+    // next word's low bit carried in.
+    const std::uint64_t* src = row(v);
+    std::uint64_t* dst = out.bits_.data() + static_cast<std::size_t>(j++) * out.words_;
+    for (std::size_t i = 0; i < out.words_; ++i) {
+      const std::uint64_t carry = i + 1 < words_ ? src[i + 1] << 63 : 0;
+      const std::uint64_t shifted = (src[i] >> 1) | carry;
+      if (i < sw) dst[i] = src[i];
+      else if (i == sw) dst[i] = (src[i] & low) | (shifted & ~low);
+      else dst[i] = shifted;
+    }
+  }
+  return out;
+}
+
+// Randomized greedy matching with a local repair step: pop a random
+// unmatched vertex v and match it to a random unmatched compatible vertex
+// from the pool; when there is none, steal a random compatible matched
+// vertex w and release w's partner back into the pool. Returns an empty
+// matching on failure (repair budget exhausted or v has no compatible
+// vertex at all).
+//
+// The pool keeps stale and duplicate entries (a vertex matched as the
+// partner stays in it; a released vertex is pushed again), and candidates
+// are collected in pool order, duplicates included — the draws depend on
+// both, so neither may be compacted away.
+Matching random_disjoint_matching(const RemainingGraph& remaining, sim::Rng& rng) {
+  const Vertex n = remaining.num_vertices();
   const auto sz = static_cast<std::size_t>(n);
+  const std::size_t words = remaining.words_per_row();
   Matching match(sz, kNoVertex);
-  std::vector<Vertex> pool;
-  pool.reserve(sz);
-  for (Vertex v = 0; v < n; ++v) pool.push_back(v);
+  std::vector<std::uint64_t> unmatched(words, ~std::uint64_t{0});
+  if (sz % 64 != 0) unmatched[words - 1] = (std::uint64_t{1} << (sz % 64)) - 1;
+  const auto set_matched = [&](Vertex v) {
+    const auto b = static_cast<std::size_t>(v);
+    unmatched[b / 64] &= ~(std::uint64_t{1} << (b % 64));
+  };
+  const auto set_unmatched = [&](Vertex v) {
+    const auto b = static_cast<std::size_t>(v);
+    unmatched[b / 64] |= std::uint64_t{1} << (b % 64);
+  };
+
+  std::vector<Vertex> pool(sz);
+  std::iota(pool.begin(), pool.end(), Vertex{0});
   rng.shuffle(std::span<Vertex>{pool});
 
+  // Every pop removes one entry and every repair pushes at most one, so
+  // the pool (and any candidate list) never exceeds n entries.
+  std::vector<Vertex> candidates(sz);
+  std::vector<std::uint64_t> open_bits(words);  // row_v & unmatched
   std::int64_t repair_budget = 40LL * n;
-  std::vector<Vertex> candidates;
-  candidates.reserve(sz);
   while (!pool.empty()) {
     // Pop a random unmatched vertex (entries may be stale after repairs).
     const std::size_t vi = rng.index(pool.size());
@@ -146,37 +189,51 @@ Matching random_disjoint_matching(Vertex n, const std::vector<std::uint8_t>& use
     pool[vi] = pool.back();
     pool.pop_back();
     if (match[static_cast<std::size_t>(v)] != kNoVertex) continue;
-    const std::uint8_t* v_used = used.data() + static_cast<std::size_t>(v) * sz;
+    const std::uint64_t* row = remaining.row(v);
 
-    // Preferred: a compatible unmatched partner. (w == v cannot occur: v
-    // was popped from the pool and the diagonal is marked used anyway.)
-    candidates.clear();
-    for (const Vertex w : pool) {
-      if (match[static_cast<std::size_t>(w)] == kNoVertex &&
-          v_used[static_cast<std::size_t>(w)] == 0) {
-        candidates.push_back(w);
+    // Preferred: a compatible unmatched partner, in pool order. Every
+    // unmatched vertex but v is in the pool, so when row_v & unmatched is
+    // empty the scan could find nothing: skip straight to repair. (v's own
+    // bit is clear in row_v, so a stale copy of v never qualifies.)
+    std::uint64_t any_open = 0;
+    for (std::size_t i = 0; i < words; ++i) {
+      open_bits[i] = row[i] & unmatched[i];
+      any_open |= open_bits[i];
+    }
+    if (any_open != 0) {
+      std::size_t k = 0;
+      for (const Vertex w : pool) {
+        const auto b = static_cast<std::size_t>(w);
+        candidates[k] = w;
+        k += (open_bits[b / 64] >> (b % 64)) & 1U;
+      }
+      if (k > 0) {
+        const Vertex w = candidates[rng.index(k)];
+        match[static_cast<std::size_t>(v)] = w;
+        match[static_cast<std::size_t>(w)] = v;
+        set_matched(v);
+        set_matched(w);
+        continue;
       }
     }
-    if (!candidates.empty()) {
-      const Vertex w = candidates[rng.index(candidates.size())];
-      match[static_cast<std::size_t>(v)] = w;
-      match[static_cast<std::size_t>(w)] = v;
-      continue;
-    }
 
-    // Repair: steal a compatible matched vertex w from its partner x.
-    for (Vertex w = 0; w < n; ++w) {
-      if (match[static_cast<std::size_t>(w)] != kNoVertex &&
-          v_used[static_cast<std::size_t>(w)] == 0) {
-        candidates.push_back(w);
+    // Repair: steal a compatible matched vertex w from its partner x,
+    // candidates in ascending vertex order.
+    std::size_t k = 0;
+    for (std::size_t i = 0; i < words; ++i) {
+      for (std::uint64_t bits = row[i] & ~unmatched[i]; bits != 0; bits &= bits - 1) {
+        candidates[k++] = static_cast<Vertex>(
+            i * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
       }
     }
-    if (candidates.empty() || --repair_budget < 0) return {};  // failure
-    const Vertex w = candidates[rng.index(candidates.size())];
+    if (k == 0 || --repair_budget < 0) return {};  // failure
+    const Vertex w = candidates[rng.index(k)];
     const Vertex x = match[static_cast<std::size_t>(w)];
     match[static_cast<std::size_t>(v)] = w;
     match[static_cast<std::size_t>(w)] = v;
     match[static_cast<std::size_t>(x)] = kNoVertex;
+    set_matched(v);
+    set_unmatched(x);
     pool.push_back(x);
   }
   return match;
@@ -191,26 +248,28 @@ namespace {
 // cycle). Returns empty when the restart budget is exhausted — the caller
 // decides whether to bump the seed or give up.
 std::vector<Matching> random_factorization_even_once(
-    Vertex n, sim::Rng& rng, const FactorizationBudget& budget) {
+    Vertex n, sim::Rng& rng, const FactorizationBudget& budget,
+    FactorizationStats& stats) {
   const auto sz = static_cast<std::size_t>(n);
   for (int restart = 0; restart < budget.max_restarts; ++restart) {
-    std::vector<std::uint8_t> used(sz * sz, 0);
-    for (std::size_t v = 0; v < sz; ++v) used[v * sz + v] = 1;  // diagonal
+    if (restart > 0) ++stats.restarts;
+    RemainingGraph remaining(n);
     std::vector<Matching> out;
     Matching ident(sz);
-    for (Vertex v = 0; v < n; ++v) ident[static_cast<std::size_t>(v)] = v;
+    std::iota(ident.begin(), ident.end(), Vertex{0});
     out.push_back(std::move(ident));
 
     bool ok = true;
     for (Vertex round = 0; round + 1 < n && ok; ++round) {
       ok = false;
       for (int retry = 0; retry < budget.matching_retries; ++retry) {
-        Matching m = random_disjoint_matching(n, used, rng);
-        if (m.empty()) continue;
-        for (Vertex v = 0; v < n; ++v) {
-          const Vertex w = m[static_cast<std::size_t>(v)];
-          used[static_cast<std::size_t>(v) * sz + static_cast<std::size_t>(w)] = 1;
+        ++stats.draws;
+        Matching m = random_disjoint_matching(remaining, rng);
+        if (m.empty()) {
+          ++stats.failed_draws;
+          continue;
         }
+        remaining.remove_matching(m);
         out.push_back(std::move(m));
         ok = true;
         break;
@@ -226,8 +285,9 @@ std::vector<Matching> random_factorization_even_once(
 // attempt reseeds an independent stream from a value drawn off the
 // caller's rng, warning loudly so the changed randomization is auditable.
 std::vector<Matching> random_factorization_even(
-    Vertex n, sim::Rng& rng, const FactorizationBudget& budget) {
-  auto out = random_factorization_even_once(n, rng, budget);
+    Vertex n, sim::Rng& rng, const FactorizationBudget& budget,
+    FactorizationStats& stats) {
+  auto out = random_factorization_even_once(n, rng, budget, stats);
   if (!out.empty()) return out;
   for (int bump = 0; bump < budget.seed_bumps; ++bump) {
     const std::uint64_t seed = rng.next_u64();
@@ -240,7 +300,7 @@ std::vector<Matching> random_factorization_even(
                  static_cast<unsigned long long>(seed), bump + 1,
                  budget.seed_bumps);
     sim::Rng bumped(seed);
-    out = random_factorization_even_once(n, bumped, budget);
+    out = random_factorization_even_once(n, bumped, budget, stats);
     if (!out.empty()) return out;
   }
   throw std::runtime_error(
@@ -250,12 +310,15 @@ std::vector<Matching> random_factorization_even(
 }  // namespace
 
 std::vector<Matching> random_factorization(Vertex n, sim::Rng& rng,
-                                           const FactorizationBudget& budget) {
+                                           const FactorizationBudget& budget,
+                                           FactorizationStats* stats) {
+  FactorizationStats local;
+  FactorizationStats& counters = stats != nullptr ? *stats : local;
   if (n % 2 == 1) {
     // Factor the even N+1 graph, then strip the dummy vertex: the dummy's
     // partner becomes self-matched, and the (now trivial) identity matching
     // is dropped, leaving exactly N matchings (see circle_factorization).
-    const auto big = random_factorization_even(n + 1, rng, budget);
+    const auto big = random_factorization_even(n + 1, rng, budget, counters);
     std::vector<Matching> out;
     for (const auto& m : big) {
       bool identity = true;
@@ -270,7 +333,7 @@ std::vector<Matching> random_factorization(Vertex n, sim::Rng& rng,
     rng.shuffle(std::span<Matching>{out});
     return out;
   }
-  auto ms = random_factorization_even(n, rng, budget);
+  auto ms = random_factorization_even(n, rng, budget, counters);
   rng.shuffle(std::span<Matching>{ms});
   return ms;
 }

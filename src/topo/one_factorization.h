@@ -8,10 +8,11 @@
 // slot that carries no traffic). For odd N each matching leaves exactly
 // one rack unmatched.
 //
-// The paper randomizes the factorization; we apply a random vertex
-// relabeling and shuffle the matching order, seeded deterministically.
-// The paper also uses *graph lifting* to build large factorizations from
-// small ones; `lift_double()` implements the doubling construction.
+// The paper randomizes the factorization; random_factorization() draws
+// the matchings one at a time from the shrinking remainder of K_N, seeded
+// deterministically. The paper also uses *graph lifting* to build large
+// factorizations from small ones; `lift_double()` implements the doubling
+// construction.
 #pragma once
 
 #include <cstdint>
@@ -55,30 +56,66 @@ struct FactorizationBudget {
   int seed_bumps = 8;         // independent reseeded reruns of the above
 };
 
-// Uniformly-mixed random factorization (the paper's "randomly factor").
-// Starts from the circle factorization, then mixes with alternating-cycle
-// color swaps: pick two perfect matchings, find an alternating cycle in
-// their union, and exchange the cycle's edges between them. Each swap
-// preserves the factorization property while destroying the circle
-// method's algebraic structure (which would otherwise yield circulant-like
-// slice unions with poor expansion). Finishes with a random vertex
-// relabeling and a shuffle of the matching order.
+// Work counters of random_factorization, accumulated (+=) across calls.
+// failed_draws / draws is the share of sampler work thrown away.
+struct FactorizationStats {
+  int restarts = 0;      // from-scratch restarts after a wedged tail
+  int draws = 0;         // random_disjoint_matching calls
+  int failed_draws = 0;  // calls that returned no matching
+};
+
+// Random factorization (the paper's "randomly factor"). For even N: the
+// identity matching plus N-1 perfect matchings drawn one after another by
+// random_disjoint_matching, each from the edges no earlier matching used.
+// A round that fails `matching_retries` draws wedges the construction —
+// in practice near the end, when the remainder is a 2-regular graph with
+// an odd cycle and so has no perfect matching — and the build restarts
+// from scratch. Odd N factors N+1 and strips the dummy vertex. The
+// matching order is shuffled last. `stats`, when given, accumulates the
+// work counters.
 [[nodiscard]] std::vector<Matching> random_factorization(
-    Vertex n, sim::Rng& rng, const FactorizationBudget& budget = {});
+    Vertex n, sim::Rng& rng, const FactorizationBudget& budget = {},
+    FactorizationStats* stats = nullptr);
 
-// One alternating-cycle swap between perfect matchings `a` and `b` through
-// vertex `start` (exposed for testing). Both matchings must be perfect on
-// the cycle through `start`.
-void alternating_cycle_swap(Matching& a, Matching& b, Vertex start);
+// The edges a sequence of disjoint matchings may still use, as bit rows:
+// bit w of row v is set iff v<->w is still available. Starts as K_n
+// without the diagonal; callers clear each accepted matching. n rows of
+// ceil(n/64) words (24 KB at n=432); bits past n stay clear.
+class RemainingGraph {
+ public:
+  explicit RemainingGraph(Vertex n);
 
-// Draws one random perfect matching on n (even) vertices that avoids the
-// edges marked in `used` (row-major n*n byte map — bytes, not
-// vector<bool>, because the sampler's inner loops scan whole rows and the
-// bit extraction dominated large-N factorization), via randomized greedy
-// matching with steal-repair. Returns an empty vector on failure. This is
-// the workhorse behind random_factorization and random_regular_graph.
-[[nodiscard]] Matching random_disjoint_matching(Vertex n,
-                                                const std::vector<std::uint8_t>& used,
+  [[nodiscard]] Vertex num_vertices() const { return n_; }
+  [[nodiscard]] std::size_t words_per_row() const { return words_; }
+  [[nodiscard]] const std::uint64_t* row(Vertex v) const {
+    return bits_.data() + static_cast<std::size_t>(v) * words_;
+  }
+  [[nodiscard]] bool has_edge(Vertex v, Vertex w) const {
+    const auto b = static_cast<std::size_t>(w);
+    return ((row(v)[b / 64] >> (b % 64)) & 1U) != 0;
+  }
+
+  // Clears v<->w in both rows.
+  void remove_edge(Vertex v, Vertex w);
+  // Clears every v<->m[v] (self-matches touch only the clear diagonal).
+  void remove_matching(const Matching& m);
+
+  // The n-1 vertex remainder with `skip` deleted and the vertices above
+  // it renumbered one down (the odd-n compaction of random_regular_graph).
+  [[nodiscard]] RemainingGraph without_vertex(Vertex skip) const;
+
+ private:
+  Vertex n_;
+  std::size_t words_;
+  std::vector<std::uint64_t> bits_;
+};
+
+// Draws one random perfect matching of `remaining` (even vertex count) by
+// randomized greedy matching with steal-repair. Returns an empty vector on
+// failure. This is the workhorse behind random_factorization and
+// random_regular_graph; its candidate order and rng draws are part of the
+// seeded output and are pinned by tests.
+[[nodiscard]] Matching random_disjoint_matching(const RemainingGraph& remaining,
                                                 sim::Rng& rng);
 
 // Graph lifting: build a factorization of the all-ones 2N x 2N matrix from

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+
+#include "sim/parallel.h"
 
 namespace opera::topo {
 
@@ -26,7 +29,37 @@ bool FailureSet::any() const {
   return false;
 }
 
-OperaTopology::OperaTopology(const OperaParams& params) : params_(params) {
+namespace {
+
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+}  // namespace
+
+std::vector<int> OperaTopology::acceptance_slices(Vertex num_racks,
+                                                  int num_switches) {
+  // Testing a slice is an all-pairs BFS, O(N^2); past a few hundred racks
+  // test a sample. Slice s has reconfiguring switch s % u, so slice c*u + p
+  // is phase p of cycle c (N/u cycles of u slices).
+  constexpr Vertex kExhaustiveRacks = 256;
+  std::vector<int> out;
+  if (num_racks <= kExhaustiveRacks) {
+    for (int s = 0; s < num_racks; ++s) out.push_back(s);
+    return out;
+  }
+  const int cycles = num_racks / num_switches;
+  const int per_phase = std::min(cycles, 4);
+  for (int j = 0; j < per_phase; ++j) {
+    const int cycle = j * cycles / per_phase;
+    for (int p = 0; p < num_switches; ++p) out.push_back(cycle * num_switches + p);
+  }
+  return out;
+}
+
+OperaTopology::OperaTopology(const OperaParams& params, OperaBuildStats* stats)
+    : params_(params) {
   const Vertex n = params_.num_racks;
   const int u = params_.num_switches;
   if (n < 2 || u < 1) {
@@ -50,14 +83,19 @@ OperaTopology::OperaTopology(const OperaParams& params) : params_(params) {
   const int diameter_bound =
       std::max(5, static_cast<int>(std::ceil(std::log(static_cast<double>(n)) /
                                              std::log(base))) + 2);
+  const std::vector<int> tested = acceptance_slices(n, u);
 
+  OperaBuildStats local;
+  OperaBuildStats& out = stats != nullptr ? *stats : local;
   std::vector<Matching> best_matchings;
   std::vector<std::vector<std::size_t>> best_assignment;
   int best_worst = std::numeric_limits<int>::max();
 
   for (int attempt = 0; attempt < kMaxRealizations; ++attempt) {
+    const auto factor_start = std::chrono::steady_clock::now();
+    ++out.realizations;
     sim::Rng rng(params_.seed + static_cast<std::uint64_t>(attempt) * 0x51ED2701);
-    matchings_ = random_factorization(n, rng);
+    matchings_ = random_factorization(n, rng, {}, &out.factorization);
     assert(is_complete_factorization(matchings_));
 
     // Randomly deal the N matchings to the u switches, N/u each, then keep
@@ -69,18 +107,22 @@ OperaTopology::OperaTopology(const OperaParams& params) : params_(params) {
     for (std::size_t i = 0; i < deal.size(); ++i) {
       assignment_[i / per_switch].push_back(deal[i]);
     }
+    out.factorization_s += seconds_since(factor_start);
 
-    // Testing every slice is O(N^2) BFS; beyond a few hundred racks sample
-    // one slice per switch phase instead.
-    const bool exhaustive = n <= 256;
-    const int step = exhaustive ? 1 : std::max(1, num_slices() / (4 * u));
+    // Per-slice results land in their own slots; the reduction (all
+    // connected, max of worst diameters) does not depend on their order.
+    const auto accept_start = std::chrono::steady_clock::now();
+    std::vector<PathStats> slice_stats(tested.size());
+    sim::parallel_for(tested.size(), [&](std::size_t i) {
+      slice_stats[i] = all_pairs_path_stats(slice_graph(tested[i]));
+    });
     bool connected = true;
     int worst = 0;
-    for (int s = 0; s < num_slices() && connected; s += step) {
-      const auto stats = all_pairs_path_stats(slice_graph(s));
-      if (stats.disconnected_pairs > 0) connected = false;
-      worst = std::max(worst, static_cast<int>(stats.worst));
+    for (const PathStats& st : slice_stats) {
+      if (st.disconnected_pairs > 0) connected = false;
+      worst = std::max(worst, static_cast<int>(st.worst));
     }
+    out.acceptance_s += seconds_since(accept_start);
     if (!connected) continue;
     if (worst <= diameter_bound) return;  // accepted
     if (worst < best_worst) {

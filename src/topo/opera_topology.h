@@ -53,9 +53,26 @@ struct FailureSet {
   }
 };
 
+// Where a topology build spends its time, for build-cost reports.
+struct OperaBuildStats {
+  int realizations = 0;                // factorizations drawn and tested
+  FactorizationStats factorization;    // summed over realizations
+  double factorization_s = 0.0;        // wall: factorization + switch deal
+  double acceptance_s = 0.0;           // wall: per-slice acceptance test
+};
+
 class OperaTopology {
  public:
-  explicit OperaTopology(const OperaParams& params);
+  // `stats`, when given, accumulates the build's work counters and phase
+  // wall times.
+  explicit OperaTopology(const OperaParams& params,
+                         OperaBuildStats* stats = nullptr);
+
+  // Slices the design-time acceptance test checks, ascending: every slice
+  // up to 256 racks; beyond that, four per reconfiguring-switch phase
+  // (spread over the cycle), so every phase is covered.
+  [[nodiscard]] static std::vector<int> acceptance_slices(Vertex num_racks,
+                                                          int num_switches);
 
   [[nodiscard]] const OperaParams& params() const { return params_; }
   [[nodiscard]] Vertex num_racks() const { return params_.num_racks; }

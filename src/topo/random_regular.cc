@@ -30,8 +30,7 @@ Graph random_regular_graph_once(Vertex n, Vertex u, sim::Rng& rng,
 
   for (int restart = 0; restart < budget.max_restarts; ++restart) {
     Graph g(n);
-    std::vector<std::uint8_t> used(sz * sz, 0);
-    for (std::size_t v = 0; v < sz; ++v) used[v * sz + v] = 1;
+    RemainingGraph remaining(n);
     bool ok = true;
     for (Vertex layer = 0; layer < u && ok; ++layer) {
       ok = false;
@@ -39,40 +38,28 @@ Graph random_regular_graph_once(Vertex n, Vertex u, sim::Rng& rng,
         Matching m;
         if (odd) {
           // Leave a random vertex out: sample a perfect matching on the
-          // other n-1 (even) vertices via an index compaction, then map
+          // other n-1 (even) vertices of the compacted remainder, then map
           // back with the skipped vertex self-matched.
           const auto skip = static_cast<Vertex>(rng.index(sz));
-          const auto small_n = n - 1;
-          const auto small_sz = static_cast<std::size_t>(small_n);
-          std::vector<Vertex> to_full(small_sz);
-          for (Vertex v = 0, j = 0; v < n; ++v) {
-            if (v != skip) to_full[static_cast<std::size_t>(j++)] = v;
-          }
-          std::vector<std::uint8_t> small_used(small_sz * small_sz, 0);
-          for (std::size_t a = 0; a < small_sz; ++a) {
-            for (std::size_t b = 0; b < small_sz; ++b) {
-              small_used[a * small_sz + b] =
-                  used[static_cast<std::size_t>(to_full[a]) * sz +
-                       static_cast<std::size_t>(to_full[b])];
-            }
-          }
-          const Matching small = random_disjoint_matching(small_n, small_used, rng);
+          const Matching small =
+              random_disjoint_matching(remaining.without_vertex(skip), rng);
           if (small.empty()) continue;
+          const auto to_full = [skip](Vertex v) { return v < skip ? v : v + 1; };
           m.assign(sz, kNoVertex);
           m[static_cast<std::size_t>(skip)] = skip;
-          for (std::size_t a = 0; a < small_sz; ++a) {
-            m[static_cast<std::size_t>(to_full[a])] =
-                to_full[static_cast<std::size_t>(small[a])];
+          for (Vertex a = 0; a + 1 < n; ++a) {
+            m[static_cast<std::size_t>(to_full(a))] =
+                to_full(small[static_cast<std::size_t>(a)]);
           }
         } else {
-          m = random_disjoint_matching(n, used, rng);
+          m = random_disjoint_matching(remaining, rng);
         }
         if (m.empty()) continue;
         for (Vertex v = 0; v < n; ++v) {
           const Vertex w = m[static_cast<std::size_t>(v)];
           if (v < w) g.add_edge(v, w);
-          used[static_cast<std::size_t>(v) * sz + static_cast<std::size_t>(w)] = 1;
         }
+        remaining.remove_matching(m);
         ok = true;
         break;
       }

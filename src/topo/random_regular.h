@@ -20,11 +20,13 @@ struct RegularGraphBudget {
   int seed_bumps = 8;
 };
 
-// Generates a connected simple u-regular graph on n vertices using the
-// configuration (pairing) model with restarts: pair up n*u port stubs at
-// random, reject self-loops/multi-edges/disconnected outcomes and retry.
-// Requires n*u even and u < n. With u >= 3 the result is an expander with
-// high probability, so only a handful of restarts are ever needed.
+// Generates a connected simple u-regular graph on n vertices as the union
+// of u pairwise-disjoint random matchings (random_disjoint_matching on the
+// shrinking remainder of K_n), restarting on a wedged layer or a
+// disconnected outcome. Odd n leaves one random vertex out of each
+// matching, so up to u vertices end below degree u. Requires n*u even and
+// u < n. With u >= 3 the result is an expander with high probability, so
+// only a handful of restarts are ever needed.
 [[nodiscard]] Graph random_regular_graph(Vertex n, Vertex u, sim::Rng& rng,
                                          const RegularGraphBudget& budget = {});
 

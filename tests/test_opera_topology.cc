@@ -4,6 +4,8 @@
 
 #include <set>
 
+#include "sim/checkpoint.h"
+
 namespace opera::topo {
 namespace {
 
@@ -166,6 +168,89 @@ TEST(OperaTopology, PaperScale108Racks) {
     EXPECT_EQ(stats.disconnected_pairs, 0u);
     EXPECT_LE(stats.worst, 6);
   }
+}
+
+// Digest of a realization: every matching, then each switch's cycling
+// order of matching indices.
+std::uint64_t topology_digest(const OperaTopology& topo) {
+  sim::Fingerprint fp;
+  for (const auto& m : topo.matchings()) {
+    for (const Vertex w : m) fp.mix_i64(w);
+  }
+  for (int sw = 0; sw < topo.num_switches(); ++sw) {
+    fp.mix_u64(topo.switch_matchings(sw).size());
+    for (const std::size_t i : topo.switch_matchings(sw)) fp.mix_u64(i);
+  }
+  return fp.digest();
+}
+
+TEST(OperaTopology, GoldenRealizationsPinned) {
+  // Recorded from the byte-map sampler: the paper testbed (108 racks, u=6,
+  // seed 3) and the k=24 fabric (432 racks, u=12, seed 1) must keep their
+  // exact matchings and per-switch assignment.
+  struct Pin {
+    Vertex racks;
+    int switches;
+    std::uint64_t seed;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {{108, 6, 3, 0xecf5f8aabcd01ba6ULL},
+                      {432, 12, 1, 0xf7a182732db85ae9ULL}};
+  for (const auto& pin : pins) {
+    OperaParams p;
+    p.num_racks = pin.racks;
+    p.num_switches = pin.switches;
+    p.seed = pin.seed;
+    const OperaTopology topo(p);
+    EXPECT_EQ(topology_digest(topo), pin.digest)
+        << pin.racks << " racks seed " << pin.seed << std::hex << " got 0x"
+        << topology_digest(topo);
+  }
+}
+
+TEST(OperaTopology, AcceptanceSlicesCoverEverySwitchPhase) {
+  // Small fabrics test every slice.
+  const auto all = OperaTopology::acceptance_slices(108, 6);
+  ASSERT_EQ(all.size(), 108u);
+  for (int s = 0; s < 108; ++s) EXPECT_EQ(all[static_cast<std::size_t>(s)], s);
+  // Large ones sample, but every reconfiguring-switch phase must appear:
+  // a stride of N/(4u) would hit only 4 of 12 phases at k=24 and 4 of 16
+  // at k=32.
+  for (const auto& [racks, u] : {std::pair{432, 12}, std::pair{768, 16},
+                                 std::pair{260, 10}, std::pair{264, 88}}) {
+    const auto tested = OperaTopology::acceptance_slices(racks, u);
+    std::set<int> phases;
+    for (std::size_t i = 0; i < tested.size(); ++i) {
+      ASSERT_GE(tested[i], 0);
+      ASSERT_LT(tested[i], racks);
+      if (i > 0) {
+        EXPECT_LT(tested[i - 1], tested[i]) << "not ascending";
+      }
+      phases.insert(tested[i] % u);
+    }
+    EXPECT_EQ(phases.size(), static_cast<std::size_t>(u))
+        << racks << " racks, u=" << u;
+    EXPECT_LE(tested.size(), static_cast<std::size_t>(4 * u));
+  }
+}
+
+TEST(OperaTopology, BuildStatsReportTheFactorization) {
+  // The paper testbed at seed 3: realization 0 is accepted, and its
+  // factorization wedges twice before succeeding.
+  OperaParams p;
+  p.num_racks = 108;
+  p.num_switches = 6;
+  p.seed = 3;
+  OperaBuildStats stats;
+  const OperaTopology topo(p, &stats);
+  EXPECT_EQ(stats.realizations, 1);
+  EXPECT_EQ(stats.factorization.restarts, 2);
+  EXPECT_GT(stats.factorization.failed_draws, 0);
+  EXPECT_LT(stats.factorization.failed_draws, stats.factorization.draws);
+  EXPECT_GE(stats.factorization_s, 0.0);
+  EXPECT_GE(stats.acceptance_s, 0.0);
+  // Collecting stats does not change the realization.
+  EXPECT_EQ(topology_digest(topo), topology_digest(OperaTopology(p)));
 }
 
 // Property sweep over sizes and seeds: all slices connected, full direct

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "sim/checkpoint.h"
 #include "sim/rng.h"
 
 namespace opera::topo {
@@ -97,6 +98,35 @@ TEST(RandomRegular, ThrowsOnlyAfterAllSeedBumpsFail) {
     ++bumps;
   }
   EXPECT_EQ(bumps, 3u) << warnings;
+}
+
+TEST(RandomRegular, GoldenEdgeListsPinned) {
+  // Recorded from the byte-map sampler: the neighbor lists (in insertion
+  // order) and the rng cursor afterwards, at even n and at odd n (the
+  // index-compaction path).
+  struct Pin {
+    Vertex n;
+    Vertex u;
+    std::uint64_t seed;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {20, 4, 1, 0x0c8cae46ea9709caULL}, {130, 7, 3, 0xc6dc5ed031366f25ULL},
+      {256, 8, 9, 0x25a6956186789310ULL}, {15, 4, 4, 0xe29e8e231eae72d8ULL},
+      {45, 8, 6, 0x6db727401d229175ULL}, {127, 6, 2, 0xeb97c29735f13a03ULL}};
+  for (const auto& p : pins) {
+    sim::Rng rng(p.seed);
+    const Graph g = random_regular_graph(p.n, p.u, rng);
+    sim::Fingerprint fp;
+    for (Vertex v = 0; v < p.n; ++v) {
+      fp.mix_u64(g.neighbors(v).size());
+      for (const Vertex w : g.neighbors(v)) fp.mix_i64(w);
+    }
+    rng.fingerprint(fp);
+    EXPECT_EQ(fp.digest(), p.digest)
+        << "n=" << p.n << " u=" << p.u << " seed=" << p.seed << std::hex
+        << " got 0x" << fp.digest();
+  }
 }
 
 // Property sweep: regularity and connectivity across sizes and degrees.
