@@ -13,8 +13,6 @@
 // of factorization, slice acceptance test and slice tables.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <limits>
 #include <string>
 
@@ -31,28 +29,7 @@ namespace {
 
 using namespace opera;
 
-// --key=value parse helpers (CliOptions already swallows --csv etc.).
-const char* arg_value(int argc, char** argv, const char* key) {
-  const std::size_t len = std::strlen(key);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], key, len) == 0 && argv[i][len] == '=') {
-      return argv[i] + len + 1;
-    }
-  }
-  return nullptr;
-}
-double arg_double(int argc, char** argv, const char* key, double fallback) {
-  const char* v = arg_value(argc, argv, key);
-  return v != nullptr ? std::atof(v) : fallback;
-}
-long arg_long(int argc, char** argv, const char* key, long fallback) {
-  const char* v = arg_value(argc, argv, key);
-  return v != nullptr ? std::atol(v) : fallback;
-}
-std::string arg_string(int argc, char** argv, const char* key, const char* fallback) {
-  const char* v = arg_value(argc, argv, key);
-  return v != nullptr ? v : fallback;
-}
+using Cli = exp::CliOptions;
 
 int usage() {
   std::fprintf(
@@ -68,7 +45,7 @@ int usage() {
       "                    storm-rolling / storm-racks / gray / skew arm\n"
       "                    failure events (opera only; gray/skew need the\n"
       "                    packet engine; any number)\n"
-      "  --load=F          poisson offered load  (default 0.10)\n"
+      "  --load=F          poisson offered load, 0.001..1 (default 0.10)\n"
       "  --dist=datamining|websearch|hadoop      (default datamining)\n"
       "  --flow-kb=K       fixed-size-flow workloads' flow/object/chunk\n"
       "                    size (default 100; ml: per-member model size)\n"
@@ -77,8 +54,8 @@ int usage() {
       "  --seed=S                                (default 1)\n"
       "  --slice-window=W  Opera resident slice tables (default 0 = auto:\n"
       "                    eager if all fit 256 MB, else windowed+LRU)\n"
-      "  --threads=N       shard the event loop over N rack domains\n"
-      "                    (Opera; bit-identical output for any N)\n"
+      "  --threads=N       shard the event loop over N rack domains, 0..1024\n"
+      "                    (any fabric; bit-identical output for any N)\n"
       "  --engine=packet|fluid|hybrid  simulation engine (Opera only;\n"
       "                    fluid integrates bulk flows as rate groups,\n"
       "                    hybrid splits by bulk threshold — docs/FLUID.md)\n"
@@ -128,38 +105,44 @@ void report_opera_build_phases(exp::Experiment& ex, const topo::OperaParams& par
              exp::Value(stats.acceptance_s, 3), exp::Value(tables_s, 3)});
 }
 
-}  // namespace
+// The sweep. Numeric flags parse strictly: a malformed or out-of-range value
+// throws exp::CliError (main then exits 2 with usage), never a silent 0.
+int run(int argc, char** argv) {
+  Cli::parse(argc, argv);  // validates the shared flags (--threads)
+  const auto text = [&](const char* key, const char* fallback) {
+    return std::string(Cli::value(argc, argv, key).value_or(fallback));
+  };
+  constexpr double kHuge = 1e9;
 
-int main(int argc, char** argv) {
-  if (exp::CliOptions::has_flag(argc, argv, "--help")) return usage();
-
-  const std::string fabric_name = arg_string(argc, argv, "--fabric", "opera");
+  const std::string fabric_name = text("--fabric", "opera");
   const auto kind = core::parse_fabric_kind(fabric_name);
   if (!kind) {
     std::fprintf(stderr, "bench_custom: unknown fabric '%s'\n", fabric_name.c_str());
     return usage();
   }
-  const auto racks = static_cast<std::int32_t>(arg_long(argc, argv, "--racks", 108));
-  const auto hosts_per_rack =
-      static_cast<std::int32_t>(arg_long(argc, argv, "--hosts-per-rack", 6));
-  const std::string workload_name = arg_string(argc, argv, "--workload", "poisson");
-  const double load = arg_double(argc, argv, "--load", 0.10);
-  const std::string dist_name = arg_string(argc, argv, "--dist", "datamining");
-  const std::int64_t flow_bytes = arg_long(argc, argv, "--flow-kb", 100) * 1000;
-  const double duration_ms = arg_double(argc, argv, "--duration-ms", 1.0);
-  const double horizon_ms = arg_double(argc, argv, "--horizon-ms", 50.0);
-  const auto seed = static_cast<std::uint64_t>(arg_long(argc, argv, "--seed", 1));
-  const bool construct_only = exp::CliOptions::has_flag(argc, argv, "--construct-only");
-  const std::string scenario_str = arg_string(argc, argv, "--scenario", "");
+  const std::int32_t racks = Cli::number(argc, argv, "--racks", 108, 2, 1 << 16);
+  const std::int32_t hosts_per_rack =
+      Cli::number(argc, argv, "--hosts-per-rack", 6, 1, 4096);
+  const std::string workload_name = text("--workload", "poisson");
+  const double load = Cli::number(argc, argv, "--load", 0.10, 0.001, 1.0);
+  const std::string dist_name = text("--dist", "datamining");
+  const std::int64_t flow_bytes =
+      std::int64_t{Cli::number(argc, argv, "--flow-kb", 100, 1, 1'000'000'000)} * 1000;
+  const double duration_ms = Cli::number(argc, argv, "--duration-ms", 1.0, 0.0, kHuge);
+  const double horizon_ms = Cli::number(argc, argv, "--horizon-ms", 50.0, 0.0, kHuge);
+  const std::uint64_t seed = Cli::number<std::uint64_t>(
+      argc, argv, "--seed", 1, 0, std::numeric_limits<std::uint64_t>::max());
+  const bool construct_only = Cli::has_flag(argc, argv, "--construct-only");
+  const std::string scenario_str = text("--scenario", "");
 
   // Run guardrails (exp::RunGuard). Any of these flags activates the
   // guarded driver; without them the legacy run path below is untouched.
   const double checkpoint_every_ms =
-      arg_double(argc, argv, "--checkpoint-every", 0.0);
-  const double max_wall_s = arg_double(argc, argv, "--max-wall-s", 0.0);
-  const double max_rss_mb = arg_double(argc, argv, "--max-rss-mb", 0.0);
-  const std::string resume_path = arg_string(argc, argv, "--resume", "");
-  std::string checkpoint_path = arg_string(argc, argv, "--checkpoint-to", "");
+      Cli::number(argc, argv, "--checkpoint-every", 0.0, 0.0, kHuge);
+  const double max_wall_s = Cli::number(argc, argv, "--max-wall-s", 0.0, 0.0, kHuge);
+  const double max_rss_mb = Cli::number(argc, argv, "--max-rss-mb", 0.0, 0.0, kHuge);
+  const std::string resume_path = text("--resume", "");
+  std::string checkpoint_path = text("--checkpoint-to", "");
   const bool resuming = !resume_path.empty();
   const bool guard_active = resuming || checkpoint_every_ms > 0 ||
                             max_wall_s > 0 || max_rss_mb > 0;
@@ -172,8 +155,7 @@ int main(int argc, char** argv) {
   core::FabricConfig config = core::FabricConfig::make(*kind);
   config.scale(racks, hosts_per_rack);
   config.seed = seed;
-  config.slice_table_window =
-      static_cast<int>(arg_long(argc, argv, "--slice-window", 0));
+  config.slice_table_window = Cli::number(argc, argv, "--slice-window", 0, 0, 1 << 20);
   config.threads = ex.cli().threads;  // parsed by exp::CliOptions with the other shared flags
   if (!ex.cli().engine.empty()) {
     const auto engine = core::parse_engine_kind(ex.cli().engine);
@@ -412,4 +394,16 @@ int main(int argc, char** argv) {
 
   emit_results(status.ended_at, run_seconds);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  if (Cli::has_flag(argc, argv, "--help")) return usage();
+  try {
+    return run(argc, argv);
+  } catch (const exp::CliError& e) {
+    std::fprintf(stderr, "bench_custom: %s\n", e.what());
+    return usage();
+  }
 }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end crash/resume determinism check (docs/CHECKPOINT.md).
 #
-# For each fabric (Opera, and the folded Clos on the same sharded engine)
-# and each shard count, runs a quick 12-rack sweep three ways:
+# For each fabric (Opera, the folded Clos on the same sharded engine, and
+# RotorNet on the RotorLB controller it shares with Opera) and each shard
+# count, runs a quick 12-rack sweep three ways:
 #   1. uninterrupted, no guard flags — the reference;
 #   2. with --checkpoint-every, SIGKILLed as soon as a checkpoint lands
 #      (SIGKILL is unmaskable: this is a real crash, not a graceful exit);
@@ -42,7 +43,7 @@ wait_for_checkpoint() {
   return 1
 }
 
-for fabric in opera clos; do
+for fabric in opera clos rotornet; do
   for threads in 1 4; do
     echo "== crash/resume: $fabric at --threads=$threads"
     run="$fabric-t$threads"

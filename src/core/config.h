@@ -34,6 +34,28 @@ struct SliceParams {
   sim::Time drain_window = sim::Time::us(30);
 };
 
+// Queue provisioning of a rotor fabric (paper §4.1-4.2) whose uplinks
+// carry `slice_bulk_budget` bytes per slice: shallow low-latency ToR
+// queues keep epsilon small; ToR bulk queues hold about two slices of
+// circuit data. Bulk is never trimmed: RotorLB NACKs drops instead.
+struct RotorQueues {
+  net::PortQueue::Config tor;
+  net::PortQueue::Config host;
+};
+[[nodiscard]] inline RotorQueues rotor_queues(std::int64_t slice_bulk_budget) {
+  RotorQueues q;
+  q.tor.low_latency_capacity_bytes = 24'000;  // 8 full packets + headers (§4.1)
+  q.tor.control_capacity_bytes = 24'000;
+  q.tor.bulk_capacity_bytes = 2 * slice_bulk_budget;
+  q.tor.trim_low_latency = true;
+  // Hosts buffer their own traffic; no in-NIC trimming.
+  q.host.low_latency_capacity_bytes = 4'000'000;
+  q.host.control_capacity_bytes = 1'000'000;
+  q.host.bulk_capacity_bytes = 4 * slice_bulk_budget;
+  q.host.trim_low_latency = false;
+  return q;
+}
+
 // checkpoint:v1 fields=10
 struct OperaConfig {
   topo::OperaParams topology;  // defaults: 108 racks x 6 hosts (648 hosts)
@@ -59,36 +81,13 @@ struct OperaConfig {
   // when set, else 1 (the classic single-queue loop).
   int threads = 0;
 
-  // Queue provisioning (paper §4.1-4.2): shallow low-latency queues keep
-  // epsilon small; ToR bulk queues hold about two slices of circuit data.
-  [[nodiscard]] net::PortQueue::Config tor_queue_config() const {
-    net::PortQueue::Config q;
-    q.low_latency_capacity_bytes = 24'000;  // 8 full packets + headers (§4.1)
-    q.control_capacity_bytes = 24'000;
-    q.bulk_capacity_bytes = 2 * slice_bulk_budget();
-    q.trim_low_latency = true;
-    q.trim_bulk = false;  // RotorLB NACK path
-    return q;
-  }
-  [[nodiscard]] net::PortQueue::Config host_queue_config() const {
-    net::PortQueue::Config q;
-    // Hosts buffer their own traffic; no in-NIC trimming.
-    q.low_latency_capacity_bytes = 4'000'000;
-    q.control_capacity_bytes = 1'000'000;
-    q.bulk_capacity_bytes = 4 * slice_bulk_budget();
-    q.trim_low_latency = false;
-    q.trim_bulk = false;
-    return q;
-  }
-
-  // Bytes one uplink can carry in the usable part of a slice.
+  // Bytes one uplink (or host link) can carry in the usable part of a
+  // slice: guard-adjusted so a burst granted at a slice start drains
+  // before the boundary.
   [[nodiscard]] std::int64_t slice_bulk_budget() const {
     const sim::Time usable = slice.duration - slice.guard;
     return static_cast<std::int64_t>(usable.to_seconds() * link.rate_bps / 8.0);
   }
-  // Bytes one host link can source per slice (guard-adjusted so a burst
-  // granted at a slice start drains before the boundary).
-  [[nodiscard]] std::int64_t host_slice_budget() const { return slice_bulk_budget(); }
 
   // Cycle time: one slice per matching (paper §4.1: 108 slices x ~99 us
   // = 10.7 ms).

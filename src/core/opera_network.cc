@@ -1,28 +1,42 @@
 #include "core/opera_network.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cstdio>
-#include <numeric>
+#include <limits>
 
 namespace opera::core {
 
 OperaNetwork::OperaNetwork(const OperaConfig& config)
-    : PacketNetwork(config.topology.num_racks, config.topology.hosts_per_rack, config.link,
-                    config.ndp, config.threads, BulkTransport::kRotorLb),
+    : RotorFabric(config.topology.num_racks, config.topology.hosts_per_rack,
+                  config.topology.num_switches, config.link, config.ndp, config.threads,
+                  config.seed),
       config_(config),
       topo_(config.topology),
-      rng_(config.seed),
       failures_(topo::FailureSet::none(config.topology.num_racks,
                                        config.topology.num_switches)),
       skew_extra_(static_cast<std::size_t>(config.topology.num_switches),
                   sim::Time::zero()),
       skew_remaining_(static_cast<std::size_t>(config.topology.num_switches), 0) {
-  relay_reach_.assign(static_cast<std::size_t>(config_.topology.num_racks),
-                      std::vector<bool>(static_cast<std::size_t>(config_.topology.num_racks),
-                                        true));
-  build_nodes();
-  install_forwarding();
+  build_tors(/*extra_ports=*/0, rotor_queues(config_.slice_bulk_budget()));
+  // Low-latency data and all control: ECMP over the routing slice's
+  // expander tables (§4.3).
+  install_tor_handlers(*this, [](OperaNetwork& self, net::Switch& tor,
+                                 const net::Packet& pkt) -> int {
+    const std::int32_t rack = tor.id();
+    // The deciding clock is the ToR's own shard clock — identical to the
+    // global clock at this event's timestamp under any sharding.
+    const int rslice = self.routing_slice(tor.sim().now());
+    // peek() keeps the per-packet path free of cache bookkeeping; the
+    // boundary prefetch guarantees residency in steady state, and the get()
+    // fallback only fires on out-of-window reads.
+    const topo::EcmpTable* table = self.slice_tables_.peek(rslice);
+    if (table == nullptr) table = &self.slice_tables_.get(rslice);
+    const auto nexts = table->next_hops(rack, pkt.dst_rack);
+    if (nexts.empty()) return -1;
+    const topo::Vertex next = nexts[ecmp_pick(pkt, rack, rslice, nexts.size())];
+    const int sw = self.uplink_to(rslice, rack, next);
+    return sw < 0 ? -1 : self.uplink_port(sw);
+  });
 
   // Per-slice low-latency forwarding tables (paper §4.3: all routing state
   // is known at design time). Slices are independent, so tables build in
@@ -42,25 +56,11 @@ OperaNetwork::OperaNetwork(const OperaConfig& config)
   // *global* (barrier-aligned) event: it retargets circuits and allocates
   // bulk grants across every rack, so it runs single-threaded between
   // epochs, before any shard processes events of the same timestamp.
-  wire_slice(0);
+  wire_all_uplinks(0);
   engine_.global().schedule_at(sim::Time::zero(), [this] { on_slice_boundary(0); });
 }
 
 OperaNetwork::~OperaNetwork() = default;
-
-void OperaNetwork::build_nodes() {
-  const auto d = config_.topology.hosts_per_rack;
-  const auto u = config_.topology.num_switches;
-  const auto n = config_.topology.num_racks;
-  const auto tor_q = config_.tor_queue_config();
-
-  for (topo::Vertex r = 0; r < n; ++r) {
-    // Downlinks then uplinks.
-    tors_.push_back(make_switch("tor" + std::to_string(r), r, shard_of_rack(r), d + u, tor_q));
-    relays_.push_back(std::make_unique<transport::RotorRelayBuffer>(n));
-  }
-  build_hosts(tors_, config_.host_queue_config());
-}
 
 int OperaNetwork::slice_at(sim::Time t) const {
   const auto abs = t / config_.slice.duration;
@@ -81,42 +81,25 @@ int OperaNetwork::routing_slice(sim::Time now) const {
 }
 
 int OperaNetwork::uplink_to(int slice, std::int32_t rack, std::int32_t peer_rack) const {
-  const int u = config_.topology.num_switches;
   const int down = topo_.reconfiguring_switch(slice);
-  for (int sw = 0; sw < u; ++sw) {
-    if (sw == down) continue;
-    if (failures_.switch_failed[static_cast<std::size_t>(sw)]) continue;
-    if (failures_.uplink_failed[static_cast<std::size_t>(rack)][static_cast<std::size_t>(sw)]) {
-      continue;
-    }
-    if (topo_.circuit_peer(sw, rack, slice) == peer_rack) {
-      // The circuit also needs the peer's uplink to this switch.
-      if (failures_.uplink_failed[static_cast<std::size_t>(peer_rack)]
-                                 [static_cast<std::size_t>(sw)]) {
-        continue;
-      }
+  for (int sw = 0; sw < num_rotors_; ++sw) {
+    if (sw == down || !uplink_alive(sw, rack)) continue;
+    // The circuit also needs the peer's uplink to this switch.
+    if (topo_.circuit_peer(sw, rack, slice) == peer_rack && uplink_alive(sw, peer_rack)) {
       return sw;
     }
   }
   return -1;
 }
 
-void OperaNetwork::wire_slice(int slice) {
-  // Point every (non-reconfiguring) uplink at its circuit peer.
-  const int u = config_.topology.num_switches;
-  const int d = config_.topology.hosts_per_rack;
-  for (topo::Vertex r = 0; r < topo_.num_racks(); ++r) {
-    for (int sw = 0; sw < u; ++sw) {
-      const topo::Vertex peer = topo_.circuit_peer(sw, r, slice);
-      auto& port = tors_[static_cast<std::size_t>(r)]->port(uplink_port(sw));
-      if (peer == r) {
-        port.set_enabled(false);  // self-match: no circuit this matching
-      } else {
-        port.connect(tors_[static_cast<std::size_t>(peer)].get(), d + sw);
-        port.set_enabled(true);
-      }
-    }
-  }
+bool OperaNetwork::circuit_usable(int slice, int sw, topo::Vertex rack,
+                                  topo::Vertex peer) const {
+  return sw != topo_.reconfiguring_switch(slice) && uplink_alive(sw, rack) &&
+         uplink_alive(sw, peer);
+}
+
+void OperaNetwork::send_nack(net::Switch& tor, const net::Packet& pkt) {
+  tor.receive(net::make_control(pkt, net::PacketType::kNack), -1);
 }
 
 void OperaNetwork::on_slice_boundary(std::int64_t abs_slice) {
@@ -128,17 +111,7 @@ void OperaNetwork::on_slice_boundary(std::int64_t abs_slice) {
 
   // Take the reconfiguring switch's circuits down; anything still queued on
   // those uplinks is lost (bulk gets NACKed back to the source host).
-  for (topo::Vertex r = 0; r < topo_.num_racks(); ++r) {
-    auto& port = tors_[static_cast<std::size_t>(r)]->port(uplink_port(sw_dn));
-    net::Switch& tor = *tors_[static_cast<std::size_t>(r)];
-    port.queue().flush([this, &tor](const net::Packet& pkt) {
-      if (pkt.type == net::PacketType::kData &&
-          pkt.tclass == net::TrafficClass::kBulk) {
-        tor.receive(net::make_control(pkt, net::PacketType::kNack), -1);
-      }
-    });
-    port.set_enabled(false);
-  }
+  for (auto& tor : tors_) take_uplink_down(*tor, sw_dn);
 
   // The rotor settles on its next matching after the reconfiguration delay
   // (a global event: it touches ports in every shard). A skewed rotor
@@ -151,18 +124,10 @@ void OperaNetwork::on_slice_boundary(std::int64_t abs_slice) {
   }
   engine_.global().schedule_in(settle_delay, [this, sw_dn, next_slice] {
     if (failures_.switch_failed[static_cast<std::size_t>(sw_dn)]) return;
-    const int d = config_.topology.hosts_per_rack;
     for (topo::Vertex r = 0; r < topo_.num_racks(); ++r) {
-      const topo::Vertex peer = topo_.circuit_peer(sw_dn, r, next_slice);
-      auto& port = tors_[static_cast<std::size_t>(r)]->port(uplink_port(sw_dn));
-      if (peer == r ||
-          failures_.uplink_failed[static_cast<std::size_t>(r)]
-                                 [static_cast<std::size_t>(sw_dn)]) {
-        port.set_enabled(false);
-      } else {
-        port.connect(tors_[static_cast<std::size_t>(peer)].get(), d + sw_dn);
-        port.set_enabled(true);
-      }
+      wire_uplink(r, sw_dn, topo_.circuit_peer(sw_dn, r, next_slice),
+                  !failures_.uplink_failed[static_cast<std::size_t>(r)]
+                                          [static_cast<std::size_t>(sw_dn)]);
     }
   });
 
@@ -172,153 +137,10 @@ void OperaNetwork::on_slice_boundary(std::int64_t abs_slice) {
   // fell behind. Eager mode has everything resident already.
   if (!slice_tables_.eager()) slice_tables_.prefetch(slice);
 
-  allocate_bulk(slice);
+  allocate_bulk(slice, config_.slice_bulk_budget(), config_.enable_vlb);
 
   engine_.global().schedule_in(config_.slice.duration,
                                [this, abs_slice] { on_slice_boundary(abs_slice + 1); });
-}
-
-void OperaNetwork::allocate_bulk(int slice) {
-  const int u = config_.topology.num_switches;
-  const int d = config_.topology.hosts_per_rack;
-  const int down = topo_.reconfiguring_switch(slice);
-  const std::int64_t uplink_budget = config_.slice_bulk_budget();
-
-  std::vector<std::int64_t> host_budget(hosts_.size(), config_.host_slice_budget());
-  // Receiver "accept" budgets (RotorLB): a destination rack can absorb at
-  // most its downlink capacity per slice; grants beyond that would only be
-  // dropped at its ToR.
-  std::vector<std::int64_t> in_budget(static_cast<std::size_t>(topo_.num_racks()),
-                                      static_cast<std::int64_t>(d) *
-                                          config_.host_slice_budget());
-  // VLB injections are bounded separately: the true receive constraint is
-  // enforced when the relay forwards (take() above), so the injection cap
-  // only limits relay-buffer growth toward any one destination.
-  std::vector<std::int64_t> vlb_budget(in_budget);
-
-  // Randomize uplink service order so no switch is systematically favored.
-  // This is the coordinator's rng: it only ever draws at barrier-aligned
-  // events, in global order, so the stream is shard-count-independent.
-  std::vector<int> order(static_cast<std::size_t>(u));
-  std::iota(order.begin(), order.end(), 0);
-  rng_.shuffle(std::span<int>{order});
-
-  for (topo::Vertex r = 0; r < topo_.num_racks(); ++r) {
-    for (const int sw : order) {
-      if (sw == down) continue;
-      if (failures_.switch_failed[static_cast<std::size_t>(sw)]) continue;
-      if (failures_.uplink_failed[static_cast<std::size_t>(r)][static_cast<std::size_t>(sw)]) {
-        continue;
-      }
-      const topo::Vertex peer = topo_.circuit_peer(sw, r, slice);
-      if (peer == r) continue;
-      if (failures_.uplink_failed[static_cast<std::size_t>(peer)][static_cast<std::size_t>(sw)]) {
-        continue;
-      }
-      std::int64_t budget = uplink_budget;
-      net::Switch& tor = *tors_[static_cast<std::size_t>(r)];
-      auto& peer_in = in_budget[static_cast<std::size_t>(peer)];
-
-      // (a) Once-relayed VLB traffic has priority (RotorLB).
-      for (auto& pkt :
-           relays_[static_cast<std::size_t>(r)]->take(peer, std::min(budget, peer_in))) {
-        budget -= pkt->size_bytes;
-        peer_in -= pkt->size_bytes;
-        tor.port(uplink_port(sw)).send(std::move(pkt));
-      }
-
-      // (b) Hosts' direct traffic, round-robin offset by slice for fairness.
-      for (int i = 0; i < d && budget > 0 && peer_in > 0; ++i) {
-        const auto h = static_cast<std::size_t>(r) * static_cast<std::size_t>(d) +
-                       static_cast<std::size_t>((i + slice) % d);
-        const std::int64_t grant = std::min({budget, host_budget[h], peer_in});
-        if (grant <= 0) continue;
-        const std::int64_t sent = agents_[h]->grant_direct(peer, grant);
-        budget -= sent;
-        host_budget[h] -= sent;
-        peer_in -= sent;
-      }
-
-      // (c) Two-hop VLB into leftover capacity (kicks in exactly when
-      // demand is skewed: uniform loads consume the budget directly). The
-      // relay leg is not receive-limited (it lands in the relay ToR's
-      // buffer), but the final destinations are.
-      if (config_.enable_vlb) {
-        for (int i = 0; i < d && budget > 0; ++i) {
-          const auto h = static_cast<std::size_t>(r) * static_cast<std::size_t>(d) +
-                         static_cast<std::size_t>((i + slice) % d);
-          const std::int64_t grant = std::min(budget, host_budget[h]);
-          if (grant <= 0) continue;
-          const std::int64_t sent = agents_[h]->grant_vlb(
-              peer, grant, std::span<std::int64_t>(vlb_budget),
-              &relay_reach_[static_cast<std::size_t>(peer)]);
-          budget -= sent;
-          host_budget[h] -= sent;
-        }
-      }
-    }
-  }
-}
-
-void OperaNetwork::install_forwarding() {
-  const int d = config_.topology.hosts_per_rack;
-  for (auto& tor : tors_) {
-    tor->set_intercept([this](net::Switch& swch, net::PacketPtr& pkt, int) {
-      if (pkt->vlb_relay && pkt->relay_rack == swch.id() &&
-          pkt->dst_rack != swch.id()) {
-        relays_[static_cast<std::size_t>(swch.id())]->store(std::move(pkt));
-        return true;
-      }
-      return false;
-    });
-
-    tor->set_forward([this, d](net::Switch& swch, const net::Packet& pkt, int) -> int {
-      const std::int32_t rack = swch.id();
-      const bool low_latency_path =
-          pkt.tclass == net::TrafficClass::kLowLatency ||
-          pkt.type != net::PacketType::kData;
-      if (low_latency_path) {
-        if (pkt.dst_rack == rack) return pkt.dst_host - rack * d;
-        // The deciding clock is the ToR's own shard clock — identical to
-        // the global clock at this event's timestamp under any sharding.
-        const int rslice = routing_slice(swch.sim().now());
-        // peek() keeps the per-packet path free of cache bookkeeping; the
-        // boundary prefetch guarantees residency in steady state, and the
-        // get() fallback only fires on out-of-window reads.
-        const topo::EcmpTable* table = slice_tables_.peek(rslice);
-        if (table == nullptr) table = &slice_tables_.get(rslice);
-        const auto nexts = table->next_hops(rack, pkt.dst_rack);
-        if (nexts.empty()) return -1;
-        const topo::Vertex next = nexts[ecmp_pick(pkt, rack, rslice, nexts.size())];
-        const int sw = uplink_to(rslice, rack, next);
-        return sw < 0 ? -1 : uplink_port(sw);
-      }
-      // Bulk data rides direct circuits only (§4.3's bulk table).
-      const std::int32_t target = pkt.vlb_relay ? pkt.relay_rack : pkt.dst_rack;
-      if (target == rack) return pkt.dst_host - rack * d;
-      const int sw = uplink_to(current_slice_, rack, target);
-      return sw < 0 ? -1 : uplink_port(sw);
-    });
-
-    tor->set_drop_hook([](net::Switch& swch, const net::Packet& pkt) {
-      if (pkt.type == net::PacketType::kData &&
-          pkt.tclass == net::TrafficClass::kBulk) {
-        swch.receive(net::make_control(pkt, net::PacketType::kNack), -1);
-      }
-    });
-
-    // Bulk overflow on any ToR queue NACKs the source (RotorLB, §4.2.2).
-    // Downlinks matter too: direct and VLB-relayed traffic can converge on
-    // one receiving host within a slice.
-    const int u = config_.topology.num_switches;
-    for (int p = 0; p < d + u; ++p) {
-      net::Switch* tor_ptr = tor.get();
-      tor->port(p).queue().set_bulk_drop_handler(
-          [tor_ptr](const net::Packet& pkt) {
-            tor_ptr->receive(net::make_control(pkt, net::PacketType::kNack), -1);
-          });
-    }
-  }
 }
 
 net::TrafficClass OperaNetwork::classify(const transport::Flow& flow,
@@ -336,13 +158,7 @@ void OperaNetwork::inject_uplink_failure(std::int32_t rack, int rotor_switch) {
                          [static_cast<std::size_t>(rotor_switch)] = true;
   // Anything queued on the dead uplink is lost now; NACK bulk back to the
   // sources over the (still connected) expander.
-  net::Switch& t = tor(rack);
-  t.port(uplink_port(rotor_switch)).queue().flush([&t](const net::Packet& pkt) {
-    if (pkt.type == net::PacketType::kData && pkt.tclass == net::TrafficClass::kBulk) {
-      t.receive(net::make_control(pkt, net::PacketType::kNack), -1);
-    }
-  });
-  t.port(uplink_port(rotor_switch)).set_enabled(false);
+  take_uplink_down(tor(rack), rotor_switch);
   // Hello-protocol dissemination: tables reconverge after one cycle (a
   // global event — recomputation touches every ToR's state).
   engine_.global().schedule_in(config_.cycle_time(), [this] { recompute_after_failure(); });
@@ -350,21 +166,11 @@ void OperaNetwork::inject_uplink_failure(std::int32_t rack, int rotor_switch) {
 
 void OperaNetwork::inject_switch_failure(int rotor_switch) {
   failures_.switch_failed[static_cast<std::size_t>(rotor_switch)] = true;
-  for (topo::Vertex r = 0; r < topo_.num_racks(); ++r) {
-    net::Switch& t = tor(r);
-    t.port(uplink_port(rotor_switch)).queue().flush([&t](const net::Packet& pkt) {
-      if (pkt.type == net::PacketType::kData &&
-          pkt.tclass == net::TrafficClass::kBulk) {
-        t.receive(net::make_control(pkt, net::PacketType::kNack), -1);
-      }
-    });
-    t.port(uplink_port(rotor_switch)).set_enabled(false);
-  }
+  for (auto& t : tors_) take_uplink_down(*t, rotor_switch);
   engine_.global().schedule_in(config_.cycle_time(), [this] { recompute_after_failure(); });
 }
 
 void OperaNetwork::rewire_switch_now(int rotor_switch) {
-  const int d = config_.topology.hosts_per_rack;
   const auto sw = static_cast<std::size_t>(rotor_switch);
   if (failures_.switch_failed[sw]) return;
   // The currently-reconfiguring switch's ports belong to its pending
@@ -373,13 +179,8 @@ void OperaNetwork::rewire_switch_now(int rotor_switch) {
   for (topo::Vertex r = 0; r < topo_.num_racks(); ++r) {
     if (failures_.uplink_failed[static_cast<std::size_t>(r)][sw]) continue;
     const topo::Vertex peer = topo_.circuit_peer(rotor_switch, r, current_slice_);
-    auto& port = tors_[static_cast<std::size_t>(r)]->port(uplink_port(rotor_switch));
-    if (peer == r || failures_.uplink_failed[static_cast<std::size_t>(peer)][sw]) {
-      port.set_enabled(false);
-    } else {
-      port.connect(tors_[static_cast<std::size_t>(peer)].get(), d + rotor_switch);
-      port.set_enabled(true);
-    }
+    wire_uplink(r, rotor_switch, peer,
+                !failures_.uplink_failed[static_cast<std::size_t>(peer)][sw]);
   }
 }
 
@@ -448,12 +249,8 @@ void OperaNetwork::recompute_after_failure() {
       relay_reach_[static_cast<std::size_t>(r)][static_cast<std::size_t>(dst)] =
           reachable;
       if (reachable || relay.queued_bytes(dst) == 0) continue;
-      net::Switch& t = tor(r);
       for (auto& pkt : relay.take(dst, std::numeric_limits<std::int64_t>::max())) {
-        if (pkt->type == net::PacketType::kData &&
-            pkt->tclass == net::TrafficClass::kBulk) {
-          t.receive(net::make_control(*pkt, net::PacketType::kNack), -1);
-        }
+        nack_dropped(tor(r), *pkt);
       }
     }
   }
@@ -472,13 +269,6 @@ OperaNetwork::TorStats OperaNetwork::tor_stats() const {
     }
   }
   return stats;
-}
-
-std::size_t OperaNetwork::voq_memory_bytes() const {
-  std::size_t bytes = 0;
-  for (const auto& agent : agents_) bytes += agent->memory_bytes();
-  for (const auto& relay : relays_) bytes += relay->memory_bytes();
-  return bytes;
 }
 
 void OperaNetwork::fingerprint(sim::Fingerprint& fp) const {

@@ -19,30 +19,24 @@
 #include <vector>
 
 #include "core/config.h"
-#include "core/packet_network.h"
+#include "core/rotor_fabric.h"
 #include "net/switch.h"
-#include "sim/rng.h"
 #include "topo/opera_topology.h"
 #include "topo/slice_table_cache.h"
-#include "transport/rotorlb.h"
 
 namespace opera::core {
 
-class OperaNetwork : public PacketNetwork {
+class OperaNetwork final : public RotorFabric {
  public:
   explicit OperaNetwork(const OperaConfig& config);
   ~OperaNetwork() override;
 
   [[nodiscard]] const OperaConfig& config() const { return config_; }
   [[nodiscard]] const topo::OperaTopology& topology() const { return topo_; }
-  [[nodiscard]] net::Switch& tor(std::int32_t rack) {
-    return *tors_[static_cast<std::size_t>(rack)];
-  }
   [[nodiscard]] std::string describe() const override;
 
   // Slice index (within [0, num_slices)) active at time `t`.
   [[nodiscard]] int slice_at(sim::Time t) const;
-  [[nodiscard]] int current_slice() const { return current_slice_; }
   // Slice whose tables low-latency forwarding uses at time `now` (advances
   // to the next slice inside the end-of-slice drain window; see config.h).
   // Forwarding passes the deciding ToR's shard-local clock.
@@ -104,10 +98,6 @@ class OperaNetwork : public PacketNetwork {
     return slice_tables_;
   }
 
-  // Structural memory of the sparse bulk VOQs (host agents + ToR relay
-  // buffers) — the k=32 memory probe (see transport/sparse_voq.h).
-  [[nodiscard]] std::size_t voq_memory_bytes() const;
-
   // Checkpoint hook: base digest plus slice rotation state, failure sets,
   // the coordinator rng cursor, per-ToR/per-host-port counters and skew
   // state — everything partition-invariant. Per-shard endpoint pools and
@@ -120,36 +110,41 @@ class OperaNetwork : public PacketNetwork {
   bool degrade_memory() override;
 
  private:
+  friend class RotorFabric;  // its ToR forward closure calls uplink_to
+
+  // The usable uplink (rotor switch index) whose circuit reaches
+  // `peer_rack` from `rack` in `slice`; -1 if none. Skips the
+  // reconfiguring switch and failed switches/uplinks at either end.
+  [[nodiscard]] int uplink_to(int slice, std::int32_t rack, std::int32_t peer_rack) const;
+
   // By size against bulk_threshold_bytes unless forced (the paper's
   // application-based tagging, §3.4); intra-rack flows always take the
   // one-hop low-latency path.
   [[nodiscard]] net::TrafficClass classify(
       const transport::Flow& flow, std::optional<net::TrafficClass> force) const override;
-  void build_nodes();
+  [[nodiscard]] topo::Vertex circuit_peer(int sw, topo::Vertex rack,
+                                          int slice) const override {
+    return topo_.circuit_peer(sw, rack, slice);
+  }
+  [[nodiscard]] bool circuit_usable(int slice, int sw, topo::Vertex rack,
+                                    topo::Vertex peer) const override;
+  // In-band: the NACK is a control packet that rides the expander back.
+  void send_nack(net::Switch& tor, const net::Packet& pkt) override;
+  // Neither rotor switch `sw` nor `rack`'s uplink to it has failed.
+  [[nodiscard]] bool uplink_alive(int sw, topo::Vertex rack) const {
+    return !failures_.switch_failed[static_cast<std::size_t>(sw)] &&
+           !failures_.uplink_failed[static_cast<std::size_t>(rack)]
+                                   [static_cast<std::size_t>(sw)];
+  }
   void recompute_after_failure();
   // Re-wires one rotor switch's ports to the matching active *now* (used
   // by recovery; skips racks whose own uplink is failed / self-matches /
   // the currently-reconfiguring switch, which its settle event owns).
   void rewire_switch_now(int rotor_switch);
-  void wire_slice(int slice);
   void on_slice_boundary(std::int64_t abs_slice);
-  void allocate_bulk(int slice);
-  void install_forwarding();
-
-  // Uplink port index on a ToR for rotor switch `sw`.
-  [[nodiscard]] int uplink_port(int sw) const {
-    return config_.topology.hosts_per_rack + sw;
-  }
-  // The active uplink (rotor switch index) whose circuit currently reaches
-  // `peer_rack` from `rack` in `slice`; -1 if none.
-  [[nodiscard]] int uplink_to(int slice, std::int32_t rack, std::int32_t peer_rack) const;
 
   OperaConfig config_;
   topo::OperaTopology topo_;
-  sim::Rng rng_;  // coordinator-phase randomness only (bulk grant order)
-
-  std::vector<std::unique_ptr<net::Switch>> tors_;
-  std::vector<std::unique_ptr<transport::RotorRelayBuffer>> relays_;   // per ToR
 
   // Per-slice low-latency ECMP tables (paper §4.3): eager or windowed.
   topo::SliceTableCache slice_tables_;
@@ -162,11 +157,7 @@ class OperaNetwork : public PacketNetwork {
   // route_around_failures_ is set.
   topo::FailureSet table_failures_;
   bool route_around_failures_ = false;
-  // relay_reach_[r][dst]: rack r still gets a direct circuit to dst in some
-  // slice (used to keep VLB from picking dead-end relays after failures).
-  std::vector<std::vector<bool>> relay_reach_;
 
-  int current_slice_ = 0;
   std::int64_t abs_slice_ = 0;
 
   // Rotor desync state (inject_slice_skew): per-switch extra settle delay

@@ -75,7 +75,7 @@ void PacketNetwork::build_hosts(const std::vector<std::unique_ptr<net::Switch>>&
         on_unclaimed_packet(sh, h, std::move(pkt));
       });
       if (bulk_ == BulkTransport::kRotorLb) {
-        agents_.push_back(std::make_unique<transport::RotorLbAgent>(*host, tracker_, num_racks_));
+        agents_.push_back(std::make_unique<transport::RotorLbAgent>(*host, tracker_));
       }
       hosts_.push_back(std::move(host));
     }

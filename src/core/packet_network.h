@@ -97,6 +97,7 @@ class PacketNetwork : public Network {
     return static_cast<std::int32_t>(hosts_.size());
   }
   [[nodiscard]] std::int32_t num_racks() const final { return num_racks_; }
+  [[nodiscard]] int hosts_per_rack() const { return hosts_per_rack_; }
   [[nodiscard]] std::int32_t rack_of_host(std::int32_t host) const final {
     return host / hosts_per_rack_;
   }

@@ -20,7 +20,15 @@ const std::vector<SizeBucket>& fct_buckets() {
 }
 
 Experiment::Experiment(std::string name, int argc, char** argv)
-    : opts_(CliOptions::parse(argc, argv)),
+    // The shared flags, or exit 2 naming the malformed one.
+    : opts_([&] {
+        try {
+          return CliOptions::parse(argc, argv);
+        } catch (const CliError& e) {
+          std::fprintf(stderr, "%s: %s\n", name.c_str(), e.what());
+          std::exit(2);
+        }
+      }()),
       report_(std::move(name), opts_.format) {
   // Every bench binary goes through Experiment, so this is the one place
   // the fluid/hybrid builders are guaranteed to be installed before the

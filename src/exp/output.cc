@@ -1,10 +1,13 @@
 #include "exp/output.h"
 
 #include <cassert>
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <sstream>
 
 namespace opera::exp {
 
@@ -41,15 +44,48 @@ CliOptions CliOptions::parse(int argc, char** argv) {
   } else if (has_flag(argc, argv, "--csv")) {
     opts.format = OutputFormat::kCsv;
   }
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      opts.threads = std::atoi(argv[i] + 10);
-    } else if (std::strncmp(argv[i], "--engine=", 9) == 0) {
-      opts.engine = argv[i] + 9;
-    }
-  }
+  opts.threads = number(argc, argv, "--threads", 0, 0, kMaxThreads);
+  opts.engine = value(argc, argv, "--engine").value_or("");
   return opts;
 }
+
+std::optional<std::string_view> CliOptions::value(int argc, char** argv,
+                                                  std::string_view key) {
+  std::optional<std::string_view> found;
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg.size() > key.size() && arg.starts_with(key) && arg[key.size()] == '=') {
+      found = arg.substr(key.size() + 1);
+    }
+  }
+  return found;
+}
+
+template <typename T>
+T CliOptions::number(int argc, char** argv, std::string_view key, T fallback, T lo,
+                     T hi) {
+  const auto text = value(argc, argv, key);
+  if (!text) return fallback;
+  T out{};
+  const char* end = text->data() + text->size();
+  const auto [ptr, ec] = std::from_chars(text->data(), end, out);
+  bool ok = !text->empty() && ec == std::errc{} && ptr == end && lo <= out && out <= hi;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(out);
+  if (!ok) {
+    std::ostringstream msg;
+    msg << key << ": expected " << (std::is_integral_v<T> ? "an integer" : "a number")
+        << " in [" << lo << ", " << hi << "], got '" << *text << "'";
+    throw CliError(msg.str());
+  }
+  return out;
+}
+
+template int CliOptions::number<int>(int, char**, std::string_view, int, int, int);
+template std::uint64_t CliOptions::number<std::uint64_t>(int, char**, std::string_view,
+                                                        std::uint64_t, std::uint64_t,
+                                                        std::uint64_t);
+template double CliOptions::number<double>(int, char**, std::string_view, double, double,
+                                           double);
 
 bool CliOptions::has_flag(int argc, char** argv, const char* flag) {
   for (int i = 1; i < argc; ++i) {

@@ -10,7 +10,10 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <variant>
 #include <vector>
@@ -19,11 +22,18 @@ namespace opera::exp {
 
 enum class OutputFormat : std::uint8_t { kHuman, kCsv, kJson };
 
+// A malformed command-line value: names the flag and what it accepts.
+struct CliError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
 // Flags shared by all bench binaries: --full (paper scale), --csv, --json,
 // --threads=N (sharded event loop; every packet fabric), --engine=NAME
 // (simulation engine; Opera fabrics). Unknown arguments are ignored so
 // binaries can add their own.
 struct CliOptions {
+  static constexpr int kMaxThreads = 1024;
+
   bool full = false;
   OutputFormat format = OutputFormat::kHuman;
   // Shard count for the sharded event loop; 0 = the config/env default
@@ -35,8 +45,19 @@ struct CliOptions {
   // time, so a typo is a loud error, not a silent packet run.
   std::string engine;
 
+  // Throws CliError on a malformed --threads.
   static CliOptions parse(int argc, char** argv);
   static bool has_flag(int argc, char** argv, const char* flag);
+
+  // The value of `key=value` in argv (`key` with its dashes, e.g.
+  // "--load"); std::nullopt when the flag is absent. The last occurrence
+  // wins.
+  static std::optional<std::string_view> value(int argc, char** argv,
+                                               std::string_view key);
+  // value() parsed strictly as a T (int, std::uint64_t or double): `fallback` when absent; otherwise the whole value must be a
+  // finite number within [lo, hi], or CliError is thrown.
+  template <typename T>
+  static T number(int argc, char** argv, std::string_view key, T fallback, T lo, T hi);
 };
 
 // Peak resident-set size of this process in bytes (Linux VmHWM; 0 where

@@ -23,6 +23,9 @@ struct RotorNetParams {
   int num_switches = 6;     // rotor switches (hybrid: one fewer carries bulk)
   bool hybrid = false;      // donate uplink 0 to a packet-switched core
   std::uint64_t seed = 1;
+
+  // Rotor switches actually carrying circuit traffic.
+  [[nodiscard]] int num_rotor_switches() const { return num_switches - (hybrid ? 1 : 0); }
 };
 
 class RotorNetTopology {
@@ -30,10 +33,7 @@ class RotorNetTopology {
   explicit RotorNetTopology(const RotorNetParams& params);
 
   [[nodiscard]] const RotorNetParams& params() const { return params_; }
-  // Rotor switches actually carrying circuit traffic.
-  [[nodiscard]] int num_rotor_switches() const {
-    return params_.num_switches - (params_.hybrid ? 1 : 0);
-  }
+  [[nodiscard]] int num_rotor_switches() const { return params_.num_rotor_switches(); }
   [[nodiscard]] int num_slices() const {
     return static_cast<int>(matchings_.size()) / num_rotor_switches();
   }

@@ -5,11 +5,6 @@
 
 namespace opera::transport {
 
-RotorLbAgent::RotorLbAgent(net::Host& host, FlowTracker& tracker, std::int32_t num_racks)
-    : host_(host), tracker_(tracker) {
-  (void)num_racks;  // VOQ slots materialize on first touch
-}
-
 std::int64_t RotorLbAgent::segment_wire_bytes(const Segment& seg) const {
   const Flow* flow = tracker_.find(seg.flow_id);
   assert(flow != nullptr);

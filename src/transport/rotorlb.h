@@ -9,9 +9,9 @@
 // direct circuit (once-relayed traffic has priority). ToR-level drops are
 // recovered with NACKs that re-enqueue the packet at the source host.
 //
-// Grant allocation is performed by the network controller (the Opera or
-// RotorNet network classes in core/), which models the paper's
-// polling-based host admission.
+// Grant allocation is performed by the network controller
+// (core::RotorFabric, shared by the Opera and RotorNet fabrics), which
+// models the paper's polling-based host admission.
 #pragma once
 
 #include <cstdint>
@@ -32,9 +32,9 @@ namespace opera::transport {
 // memory.
 class RotorLbAgent {
  public:
-  // `num_racks` is advisory (VOQ slots materialize on first touch; see
-  // transport/sparse_voq.h) and kept for interface stability.
-  RotorLbAgent(net::Host& host, FlowTracker& tracker, std::int32_t num_racks);
+  // VOQ slots materialize on first touch (see transport/sparse_voq.h), so
+  // the agent needs no rack count.
+  RotorLbAgent(net::Host& host, FlowTracker& tracker) : host_(host), tracker_(tracker) {}
 
   // Queues a registered bulk flow for transmission.
   void add_flow(const Flow& flow);
@@ -121,14 +121,11 @@ class RotorLbSink {
 };
 
 // ToR-side relay buffer for once-relayed (VLB) traffic awaiting a direct
-// circuit to its final destination.
+// circuit to its final destination. Relay VOQs materialize on first touch,
+// which is what takes the per-ToR relay state from O(racks) — O(racks²)
+// across all ToRs, the k=32 blocker — to O(active destinations).
 class RotorRelayBuffer {
  public:
-  // `num_racks` is advisory: relay VOQs materialize on first touch, which
-  // is what takes the per-ToR relay state from O(racks) — O(racks²)
-  // across all ToRs, the k=32 blocker — to O(active destinations).
-  explicit RotorRelayBuffer(std::int32_t num_racks) { (void)num_racks; }
-
   // Stores a relayed packet (clears its relay marking).
   void store(net::PacketPtr pkt);
 

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
+#include <string>
+
 #include "exp/output.h"
 #include "exp/testbed.h"
 #include "workload/flow_size_dist.h"
@@ -31,6 +35,49 @@ TEST(CliOptions, ParsesFlags) {
   char* argv2[] = {kProg, kJson};
   EXPECT_EQ(CliOptions::parse(2, argv2).format, OutputFormat::kJson);
   EXPECT_FALSE(CliOptions::parse(2, argv2).full);
+}
+
+// Runs CliOptions::number over one `--key=value` argument.
+template <typename T>
+T number_of(const char* arg, const char* key, T fallback, T lo, T hi) {
+  std::string text = arg;
+  char* argv[] = {kProg, text.data()};
+  return CliOptions::number(2, argv, key, fallback, lo, hi);
+}
+
+TEST(CliOptions, ValueLookupMatchesWholeKey) {
+  char racks[] = "--racks=12";
+  char racks_extra[] = "--racks-extra=7";
+  char* argv[] = {kProg, racks_extra, racks};
+  EXPECT_EQ(CliOptions::value(3, argv, "--racks"), "12");
+  EXPECT_EQ(CliOptions::value(3, argv, "--rack"), std::nullopt);
+  EXPECT_EQ(CliOptions::value(2, argv, "--racks"), std::nullopt);
+  EXPECT_EQ(CliOptions::number(3, argv, "--seed", 5, 0, 9), 5);  // absent: fallback
+}
+
+TEST(CliOptions, NumbersParseStrictly) {
+  EXPECT_EQ(number_of("--racks=16", "--racks", 108, 2, 1 << 16), 16);
+  EXPECT_DOUBLE_EQ(number_of("--load=0.25", "--load", 0.1, 0.001, 1.0), 0.25);
+  EXPECT_EQ(number_of<std::uint64_t>("--seed=7", "--seed", 1, 0, 100), 7u);
+  // What atof/atoi used to turn into 0 (or worse) without a word.
+  EXPECT_THROW(number_of("--load=0.x", "--load", 0.1, 0.001, 1.0), CliError);
+  EXPECT_THROW(number_of("--load=-0.1", "--load", 0.1, 0.001, 1.0), CliError);
+  EXPECT_THROW(number_of("--load=nan", "--load", 0.1, 0.001, 1.0), CliError);
+  EXPECT_THROW(number_of("--load=", "--load", 0.1, 0.001, 1.0), CliError);
+  EXPECT_THROW(number_of("--racks=abc", "--racks", 108, 2, 1 << 16), CliError);
+  EXPECT_THROW(number_of("--racks=12x", "--racks", 108, 2, 1 << 16), CliError);
+  EXPECT_THROW(number_of("--racks=1", "--racks", 108, 2, 1 << 16), CliError);
+  EXPECT_THROW(number_of("--racks=99999999999", "--racks", 108, 2, 1 << 16), CliError);
+  EXPECT_THROW(number_of<std::uint64_t>("--seed=-1", "--seed", 1, 0, 100), CliError);
+}
+
+TEST(CliOptions, MalformedThreadsIsAnError) {
+  char two[] = "--threads=two";
+  char* bad[] = {kProg, two};
+  EXPECT_THROW(static_cast<void>(CliOptions::parse(2, bad)), CliError);
+  char four[] = "--threads=4";
+  char* good[] = {kProg, four};
+  EXPECT_EQ(CliOptions::parse(2, good).threads, 4);
 }
 
 TEST(Value, Renderings) {

@@ -22,7 +22,7 @@ class Wire {
     b->add_port(10e9, sim::Time::ns(500), q);
     a->uplink().connect(b.get(), 0);
     b->uplink().connect(a.get(), 0);
-    agent = std::make_unique<RotorLbAgent>(*a, tracker, /*num_racks=*/4);
+    agent = std::make_unique<RotorLbAgent>(*a, tracker);
   }
 
   Flow make_flow(std::int64_t bytes, std::int32_t dst_rack = 1) {
@@ -127,7 +127,7 @@ TEST(RotorLbAgent, NackRequeuesPacket) {
 }
 
 TEST(RotorRelayBuffer, StoreAndTake) {
-  RotorRelayBuffer buf(4);
+  RotorRelayBuffer buf;
   for (int i = 0; i < 3; ++i) {
     auto pkt = net::make_packet();
     pkt->size_bytes = 1'000;
@@ -146,7 +146,7 @@ TEST(RotorRelayBuffer, StoreAndTake) {
 }
 
 TEST(RotorRelayBuffer, TakeEmptyRack) {
-  RotorRelayBuffer buf(4);
+  RotorRelayBuffer buf;
   EXPECT_TRUE(buf.take(3, 10'000).empty());
   EXPECT_EQ(buf.total_bytes(), 0);
 }

@@ -87,7 +87,7 @@ class AgentHarness {
     b->add_port(10e9, sim::Time::ns(500), q);
     a->uplink().connect(b.get(), 0);
     b->uplink().connect(a.get(), 0);
-    agent = std::make_unique<RotorLbAgent>(*a, tracker, /*num_racks=*/64);
+    agent = std::make_unique<RotorLbAgent>(*a, tracker);
   }
 
   void add_bulk(std::int64_t bytes, std::int32_t dst_rack) {
@@ -141,7 +141,7 @@ TEST(SparseVoqAgent, MemoryProbeTracksActiveDestinations) {
 }
 
 TEST(SparseVoqRelay, StoreTakeAndProbe) {
-  RotorRelayBuffer relay(/*num_racks=*/768);
+  RotorRelayBuffer relay;
   EXPECT_EQ(relay.memory_bytes(), 0u);  // nothing materialized up front
   for (int i = 0; i < 10; ++i) {
     auto pkt = net::make_packet();
