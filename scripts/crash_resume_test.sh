@@ -3,7 +3,9 @@
 #
 # For each fabric (Opera, the folded Clos on the same sharded engine, and
 # RotorNet on the RotorLB controller it shares with Opera) and each shard
-# count, runs a quick 12-rack sweep three ways:
+# count, runs a quick 12-rack sweep three ways — and likewise a 108-rack
+# day-in-the-life on the fluid engine, long enough in simulated time that
+# the checkpoint lands while flows are still being admitted:
 #   1. uninterrupted, no guard flags — the reference;
 #   2. with --checkpoint-every, SIGKILLed as soon as a checkpoint lands
 #      (SIGKILL is unmaskable: this is a real crash, not a graceful exit);
@@ -43,45 +45,58 @@ wait_for_checkpoint() {
   return 1
 }
 
+# crash_resume LABEL THREADS BENCH-ARGS...: reference, SIGKILLed, resumed.
+crash_resume() {
+  local label="$1" threads="$2"
+  shift 2
+  echo "== crash/resume: $label at --threads=$threads"
+  local run="$label-t$threads"
+  local ck="$work/$run.ckpt"
+
+  "$bench" "$@" --threads="$threads" \
+    > "$work/ref-$run.csv" 2> "$work/ref-$run.err"
+
+  "$bench" "$@" --threads="$threads" \
+    --checkpoint-every=5 --checkpoint-to="$ck" \
+    > "$work/killed-$run.csv" 2> "$work/killed-$run.err" &
+  local pid=$!
+  if wait_for_checkpoint "$ck" "$pid"; then
+    kill -KILL "$pid" 2>/dev/null || true
+  fi
+  wait "$pid" 2>/dev/null || true
+  if [[ ! -s "$ck" ]]; then
+    echo "FAIL: no checkpoint written before the run ended ($run)" >&2
+    failures=$((failures + 1))
+    return
+  fi
+
+  "$bench" --resume="$ck" --threads="$threads" --csv \
+    > "$work/resumed-$run.csv" 2> "$work/resumed-$run.err"
+  grep -q "fingerprint .* verified" "$work/resumed-$run.err" || {
+    echo "FAIL: resume did not verify the checkpoint fingerprint ($run)" >&2
+    failures=$((failures + 1))
+  }
+
+  if diff <(python3 "$strip" "$work/ref-$run.csv") \
+          <(python3 "$strip" "$work/resumed-$run.csv"); then
+    echo "   resumed CSV bit-identical to uninterrupted reference"
+  else
+    echo "FAIL: resumed run differs from reference ($run)" >&2
+    failures=$((failures + 1))
+  fi
+}
+
+fluid_args=(--fabric=opera --engine=fluid --racks=108 --hosts-per-rack=6
+            --scenario="ditl:phase-ms=400,load=0.3" --horizon-ms=2500
+            --seed=7 --csv)
+
 for fabric in opera clos rotornet; do
   for threads in 1 4; do
-    echo "== crash/resume: $fabric at --threads=$threads"
-    run="$fabric-t$threads"
-    ck="$work/$run.ckpt"
-    fabric_sweep=(--fabric="$fabric" "${sweep_args[@]}")
-
-    "$bench" "${fabric_sweep[@]}" --threads="$threads" \
-      > "$work/ref-$run.csv" 2> "$work/ref-$run.err"
-
-    "$bench" "${fabric_sweep[@]}" --threads="$threads" \
-      --checkpoint-every=5 --checkpoint-to="$ck" \
-      > "$work/killed-$run.csv" 2> "$work/killed-$run.err" &
-    pid=$!
-    if wait_for_checkpoint "$ck" "$pid"; then
-      kill -KILL "$pid" 2>/dev/null || true
-    fi
-    wait "$pid" 2>/dev/null || true
-    if [[ ! -s "$ck" ]]; then
-      echo "FAIL: no checkpoint written before the run ended ($run)" >&2
-      failures=$((failures + 1))
-      continue
-    fi
-
-    "$bench" --resume="$ck" --threads="$threads" --csv \
-      > "$work/resumed-$run.csv" 2> "$work/resumed-$run.err"
-    grep -q "fingerprint .* verified" "$work/resumed-$run.err" || {
-      echo "FAIL: resume did not verify the checkpoint fingerprint ($run)" >&2
-      failures=$((failures + 1))
-    }
-
-    if diff <(python3 "$strip" "$work/ref-$run.csv") \
-            <(python3 "$strip" "$work/resumed-$run.csv"); then
-      echo "   resumed CSV bit-identical to uninterrupted reference"
-    else
-      echo "FAIL: resumed run differs from reference ($run)" >&2
-      failures=$((failures + 1))
-    fi
+    crash_resume "$fabric" "$threads" --fabric="$fabric" "${sweep_args[@]}"
   done
+done
+for threads in 1 4; do
+  crash_resume opera-fluid "$threads" "${fluid_args[@]}"
 done
 
 echo "== SIGTERM graceful exit"

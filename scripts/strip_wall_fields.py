@@ -3,7 +3,8 @@
 simulation can be diffed bit-for-bit.
 
 Simulation output is deterministic; wall-clock measurements (construct_s,
-wall_s, bench_custom's build-phase times, the `# peak RSS` note) are not. The crash-resume check compares an
+wall_s, bench_custom's build-phase times, peak RSS columns and the
+`# peak RSS` note) are not. The crash-resume check compares an
 interrupted+resumed run against an uninterrupted reference, so those — and
 only those — fields are neutralized:
 
@@ -13,22 +14,27 @@ only those — fields are neutralized:
 Wall-clock columns are located by name from each table's header row (CSV
 schema: header rows lead with the literal field "table", data rows with the
 table id — docs/BENCH_OUTPUT.md), so this keeps working when columns move.
+A table prints its header once, just before its first row, and tables may
+interleave afterwards; so a header belongs to the table id of the data row
+that follows it, and every later row of that id is stripped by it.
 """
 
 import csv
 import io
 import sys
 
-WALL_COLUMNS = {"construct_s", "wall_s", "factorization_s", "acceptance_s",
-                "slice_tables_s"}
+WALL_COLUMNS = {"construct_s", "wall_s", "sweep_wall_s", "factorization_s",
+                "acceptance_s", "slice_tables_s", "peak_rss_mb"}
 DROP_NOTE_PREFIXES = ("# peak RSS",)
 
 
 def strip(lines):
     """Yield output lines with wall-clock cells blanked."""
-    # Column names of the most recent header row, aligned with data-row
-    # fields (index 0 is the "table"/table-id field in both).
-    columns = []
+    # Column names per table id, aligned with data-row fields (index 0 is
+    # the "table"/table-id field in both), and the header row still waiting
+    # for its table's first data row.
+    columns_by_id = {}
+    pending_header = None
     for line in lines:
         line = line.rstrip("\n")
         if line.startswith("#"):
@@ -40,13 +46,15 @@ def strip(lines):
             yield line
             continue
         if row[0] == "table":
-            columns = row
+            pending_header = row
             yield line
             continue
-        if columns:
-            for i, name in enumerate(columns):
-                if name in WALL_COLUMNS and i < len(row):
-                    row[i] = ""
+        if pending_header is not None:
+            columns_by_id[row[0]] = pending_header
+            pending_header = None
+        for i, name in enumerate(columns_by_id.get(row[0], ())):
+            if name in WALL_COLUMNS and i < len(row):
+                row[i] = ""
         out = io.StringIO()
         csv.writer(out, lineterminator="").writerow(row)
         yield out.getvalue()

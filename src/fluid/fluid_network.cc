@@ -58,14 +58,31 @@ std::uint64_t FluidNetwork::submit_flow(std::int32_t src_host,
   flow.start = start;
   tracker_.register_flow(flow);
   const std::uint64_t id = flow.id;
-  sim_.schedule_at(start, [this, id, size_bytes] {
-    on_flow_start(id, size_bytes);
-  });
+  // The key and clamp schedule_at would give a start event, so a flow
+  // starts in exactly the order its own event would have run.
+  const std::uint64_t key = sim_.derive_key();
+  const sim::Time at = std::max(start, sim_.now());
+  if ((key & sim::Simulator::kDerivedKeyBit) != 0) {
+    // Submitted from inside a dispatch: hashed keys interleave with the
+    // tick's in hash order, which only the event queue reproduces, so such
+    // a flow keeps its own start event.
+    sim_.schedule_keyed_at(at, key, [this, id] { on_flow_start(id); });
+    return id;
+  }
+  const Admission admission{at, key, id};
+  if (next_admission_ < admissions_.size() &&
+      precedes(admission, admissions_.back())) {
+    admissions_sorted_ = false;
+  }
+  admissions_.push_back(admission);
+  if (!tick_armed_ &&
+      (!wakeup_.pending() || precedes(admission, wakeup_for_))) {
+    schedule_wakeup(admission);
+  }
   return id;
 }
 
-void FluidNetwork::on_flow_start(std::uint64_t id, std::int64_t size_bytes) {
-  const sim::Time now = sim_.now();
+void FluidNetwork::join(std::uint64_t id, sim::Time at) {
   const transport::Flow* flow = tracker_.find(id);
   const std::int64_t key =
       static_cast<std::int64_t>(flow->src_rack) * num_racks() + flow->dst_rack;
@@ -74,25 +91,71 @@ void FluidNetwork::on_flow_start(std::uint64_t id, std::int64_t size_bytes) {
   if (inserted) {
     group.src_rack = flow->src_rack;
     group.dst_rack = flow->dst_rack;
-    group.updated = now;
+    group.updated = at;
   } else {
     // Capture V at join time under the frozen rate.
-    advance_group(group, now);
+    advance_group(group, at);
   }
   group.live += 1;
   group.heap.push_back(
-      FlowMark{group.drained + static_cast<double>(size_bytes), id});
+      FlowMark{group.drained + static_cast<double>(flow->size_bytes), id});
   std::push_heap(group.heap.begin(), group.heap.end(),
                  [](const FlowMark& a, const FlowMark& b) {
                    return a.threshold > b.threshold ||
                           (a.threshold == b.threshold && a.id > b.id);
                  });
+}
+
+const FluidNetwork::Admission& FluidNetwork::next_admission() {
+  if (!admissions_sorted_) {
+    std::sort(admissions_.begin() + static_cast<std::ptrdiff_t>(next_admission_),
+              admissions_.end(), &FluidNetwork::precedes);
+    admissions_sorted_ = true;
+  }
+  return admissions_[next_admission_];
+}
+
+void FluidNetwork::admit_through(sim::Time t) {
+  while (next_admission_ < admissions_.size() && next_admission().start <= t) {
+    const Admission a = admissions_[next_admission_++];
+    join(a.id, a.start);
+  }
+  if (next_admission_ == admissions_.size()) {
+    admissions_.clear();
+    next_admission_ = 0;
+  }
+}
+
+void FluidNetwork::schedule_wakeup(const Admission& a) {
+  wakeup_.cancel();
+  wakeup_for_ = a;
+  wakeup_ = sim_.schedule_keyed_at(a.start, a.key, [this] { on_wakeup(); });
+}
+
+void FluidNetwork::on_wakeup() {
+  // The integrator is idle, so this is the earliest queued flow: start it
+  // alone, as its own start event would have, and arm the tick. Flows
+  // queued behind it join at the next boundary, at their own start times.
+  const sim::Time now = sim_.now();
+  const std::uint64_t id = next_admission().id;
+  ++next_admission_;
+  join(id, now);
+  arm_tick(now);
+}
+
+void FluidNetwork::on_flow_start(std::uint64_t id) {
+  const sim::Time now = sim_.now();
+  // Queued flows that start at or before now ran before this event (root
+  // keys sort before hashed ones at equal times).
+  admit_through(now);
+  join(id, now);
   arm_tick(now);
 }
 
 void FluidNetwork::arm_tick(sim::Time now) {
   if (tick_armed_) return;
   tick_armed_ = true;
+  wakeup_.cancel();
   // The integrator was idle: give the (re)starting groups rates for the
   // remainder of this slice instead of waiting for the next boundary.
   recompute_rates(slice_at(now));
@@ -101,9 +164,11 @@ void FluidNetwork::arm_tick(sim::Time now) {
 
 void FluidNetwork::on_tick() {
   const sim::Time now = sim_.now();
+  admit_through(now);
   sweep_to(now, /*recompute_rates=*/true);
   if (groups_.empty()) {
-    tick_armed_ = false;  // re-armed by the next flow start
+    tick_armed_ = false;
+    if (queued_admissions() > 0) schedule_wakeup(next_admission());
     return;
   }
   sim_.schedule_at(next_boundary(now), [this] { on_tick(); });
@@ -182,8 +247,8 @@ void FluidNetwork::recompute_rates(int slice) {
     scratch_demands_.push_back(
         GroupDemand{group.src_rack, group.dst_rack, group.live});
   }
-  const std::vector<GroupRate> rates =
-      allocator_.allocate(slice, scratch_demands_, failures_);
+  const std::vector<GroupRate>& rates =
+      allocator_.allocate(slice, scratch_demands_);
   std::size_t i = 0;
   for (auto& [key, group] : groups_) group.rate = rates[i++];
 }
@@ -192,25 +257,33 @@ void FluidNetwork::run_until(sim::Time t) {
   sim_.run_until(t);
   // Catch the fluid state up to the stop time so the tracker is exact at
   // return (run_until may stop mid-slice: horizon or progress-hook stop).
+  // Queued flows that start by then join first, as their start events
+  // would have run before the stop. An idle integrator has none: its
+  // wake-up would have fired.
+  if (tick_armed_) admit_through(sim_.now());
   sweep_to(sim_.now(), /*recompute_rates=*/false);
 }
 
 void FluidNetwork::inject_uplink_failure(std::int32_t rack, int rotor_switch) {
   failures_.uplink_failed[static_cast<std::size_t>(rack)]
                          [static_cast<std::size_t>(rotor_switch)] = true;
+  allocator_.set_failures(failures_);
 }
 
 void FluidNetwork::recover_uplink(std::int32_t rack, int rotor_switch) {
   failures_.uplink_failed[static_cast<std::size_t>(rack)]
                          [static_cast<std::size_t>(rotor_switch)] = false;
+  allocator_.set_failures(failures_);
 }
 
 void FluidNetwork::inject_switch_failure(int rotor_switch) {
   failures_.switch_failed[static_cast<std::size_t>(rotor_switch)] = true;
+  allocator_.set_failures(failures_);
 }
 
 void FluidNetwork::recover_switch(int rotor_switch) {
   failures_.switch_failed[static_cast<std::size_t>(rotor_switch)] = false;
+  allocator_.set_failures(failures_);
 }
 
 void FluidNetwork::fingerprint(sim::Fingerprint& fp) const {
@@ -232,6 +305,7 @@ void FluidNetwork::fingerprint(sim::Fingerprint& fp) const {
       fp.mix_u64(mark.id);
     }
   }
+  fp.mix_u64(queued_admissions());
   fp.mix_double(stats_.direct_bytes);
   fp.mix_double(stats_.vlb_bytes);
   fp.mix_double(stats_.intra_bytes);

@@ -19,6 +19,15 @@
 // stream, fingerprints, and checkpoint/replay behave exactly like the
 // packet engine's.
 //
+// Admission: a flow submitted outside any dispatch does not get a start
+// event of its own. submit_flow() records (start, order key, id) in an
+// admission cursor, and the flow joins its group at its exact start time,
+// in the order its start event would have run, just before the next
+// operation that reads group state: the boundary tick's sweep, run_until's
+// catch-up sweep, or a dispatched flow start. While the integrator is idle
+// one wake-up event, carrying the earliest queued flow's own order key,
+// starts that flow at its time (docs/FLUID.md, "Admission").
+//
 // Accuracy: rates are frozen within a slice (capacity freed by a
 // completion redistributes at the next boundary), new groups wait for
 // their first boundary, and failures take effect at the next boundary
@@ -55,6 +64,8 @@ class FluidNetwork : public core::Network {
  public:
   explicit FluidNetwork(const core::OperaConfig& config);
 
+  // Registers the flow and queues its start; a start in the past is
+  // clamped to the current time.
   std::uint64_t submit_flow(
       std::int32_t src_host, std::int32_t dst_host, std::int64_t size_bytes,
       sim::Time start,
@@ -109,10 +120,14 @@ class FluidNetwork : public core::Network {
   [[nodiscard]] const FluidStats& fluid_stats() const { return stats_; }
   // Live flow groups (for tests and memory probes).
   [[nodiscard]] std::size_t active_groups() const { return groups_.size(); }
+  // Submitted flows that have not joined their group yet.
+  [[nodiscard]] std::size_t queued_admissions() const {
+    return admissions_.size() - next_admission_;
+  }
 
   // Checkpoint hook: base digest plus the full fluid rate state — every
   // group's drain counter, rates, and pending thresholds in key order,
-  // the byte counters, and the failure set.
+  // the queued-admission count, the byte counters, and the failure set.
   void fingerprint(sim::Fingerprint& fp) const override;
 
  private:
@@ -130,6 +145,17 @@ class FluidNetwork : public core::Network {
     GroupRate rate;             // frozen for the current slice
     std::vector<FlowMark> heap;  // min-heap by (threshold, id)
   };
+  // A flow submitted outside any dispatch, waiting to join its group, with
+  // the root order key its start event would have had. Root keys grow
+  // with submission, so (start, key) order is (start, id) order.
+  struct Admission {
+    sim::Time start;  // clamped to the clock at submission
+    std::uint64_t key = 0;
+    std::uint64_t id = 0;
+  };
+  [[nodiscard]] static bool precedes(const Admission& a, const Admission& b) {
+    return a.start < b.start || (a.start == b.start && a.key < b.key);
+  }
 
   // Advances one group to `t` under its frozen rate, popping completion
   // thresholds into pending_ and accruing delivered-byte stats.
@@ -141,7 +167,18 @@ class FluidNetwork : public core::Network {
   // (time, id) order, drops empty groups, and recomputes rates.
   void sweep_to(sim::Time t, bool recompute_rates);
   void recompute_rates(int slice);
-  void on_flow_start(std::uint64_t id, std::int64_t size_bytes);
+  // Adds flow `id` to its group at time `at` (<= now), capturing the
+  // group's drain counter at that instant under its frozen rate.
+  void join(std::uint64_t id, sim::Time at);
+  // Joins every queued flow that starts at or before `t`, in cursor order.
+  void admit_through(sim::Time t);
+  // The earliest queued admission (sorts the cursor's tail if needed).
+  [[nodiscard]] const Admission& next_admission();
+  // (Re)schedules the idle integrator's wake-up for admission `a`.
+  void schedule_wakeup(const Admission& a);
+  void on_wakeup();
+  // Start event of a flow submitted from inside a dispatch.
+  void on_flow_start(std::uint64_t id);
   void on_tick();
   void arm_tick(sim::Time now);
   [[nodiscard]] sim::Time next_boundary(sim::Time t) const;
@@ -163,6 +200,15 @@ class FluidNetwork : public core::Network {
   };
   std::vector<PendingCompletion> pending_;
   std::vector<GroupDemand> scratch_demands_;  // recompute_rates scratch
+
+  // The admission cursor. Entries from next_admission_ on are queued, in
+  // (start, key) order once sorted.
+  std::vector<Admission> admissions_;
+  std::size_t next_admission_ = 0;
+  bool admissions_sorted_ = true;
+  // While the tick is disarmed: the event that starts wakeup_for_.
+  sim::EventHandle wakeup_;
+  Admission wakeup_for_;
   bool tick_armed_ = false;
   FluidStats stats_;
 };

@@ -21,8 +21,13 @@
 //      VLB byte costs two circuit traversals — the 2x byte tax the
 //      accounting exposes.
 //
-// All loops run in input-group / rack-index order over plain doubles, so
-// the allocation is bit-for-bit deterministic.
+// All loops run in input-group / rack-index / switch-index order over
+// plain doubles, so the allocation is bit-for-bit deterministic.
+//
+// Cost: each call resolves the slice's u-1 live matching rows once and
+// reads circuits from them directly; per-rack budgets depend only on the
+// slice and the failure set, so they are cached per cyclic slice and
+// dropped by set_failures(). Scratch vectors are reused across calls.
 #pragma once
 
 #include <cstdint>
@@ -71,25 +76,67 @@ class RotorRateLb {
     bool enable_vlb = true;
   };
 
-  RotorRateLb(const topo::OperaTopology& topo, const Params& params)
-      : topo_(topo), params_(params) {}
+  RotorRateLb(const topo::OperaTopology& topo, const Params& params);
+
+  // Makes later allocate() calls honor `failures` (none until the first
+  // call) and drops the cached per-slice budgets. Call again after every
+  // change to the set: the allocator keeps its own per-(rack, switch)
+  // liveness table, so `failures` need not outlive the call.
+  void set_failures(const topo::FailureSet& failures);
 
   // Rates for `groups` (sorted by (src, dst), flows > 0) during cyclic
-  // slice `slice`, honoring `failures`. The result is aligned with
-  // `groups`; `usage` (optional) receives the capacity accounting.
-  [[nodiscard]] std::vector<GroupRate> allocate(
-      int slice, const std::vector<GroupDemand>& groups,
-      const topo::FailureSet& failures, RateUsage* usage = nullptr) const;
+  // slice `slice`, under the failure set last given to set_failures().
+  // The result is aligned with `groups` and valid until the next call;
+  // `usage` (optional) receives the capacity accounting.
+  const std::vector<GroupRate>& allocate(int slice,
+                                         const std::vector<GroupDemand>& groups,
+                                         RateUsage* usage = nullptr);
 
   [[nodiscard]] const Params& params() const { return params_; }
 
  private:
-  // Number of live a<->b circuits in `slice` (0 when a == b).
-  [[nodiscard]] int direct_circuits(int slice, std::int32_t a, std::int32_t b,
-                                    const topo::FailureSet& failures) const;
+  // A circuit a<->b on switch `sw` carries traffic iff the switch and both
+  // endpoint racks/uplinks are alive.
+  [[nodiscard]] bool circuit_ok(int sw, std::int32_t a, std::int32_t b) const {
+    const auto u = static_cast<std::size_t>(topo_.num_switches());
+    const auto s = static_cast<std::size_t>(sw);
+    return (dead_[static_cast<std::size_t>(a) * u + s] |
+            dead_[static_cast<std::size_t>(b) * u + s]) == 0;
+  }
+  // Number of live a<->b circuits among the slice's live rows (0 when
+  // a == b).
+  [[nodiscard]] int direct_circuits(std::int32_t a, std::int32_t b) const;
+  // Per-rack circuit budget of `slice` (rows_ resolved for it), cached.
+  [[nodiscard]] const double* slice_budget(int slice, double circuit_rate);
 
   const topo::OperaTopology& topo_;
   Params params_;
+
+  // Liveness: dead_[rack * u + sw] != 0 iff the rack, the switch or that
+  // uplink has failed; any_failed_ is false iff every entry is 0, which
+  // lets allocate() skip the per-circuit checks.
+  std::vector<std::uint8_t> dead_;
+  bool any_failed_ = false;
+
+  // The current slice's live switches and their matching rows.
+  std::vector<int> row_switch_;
+  std::vector<const topo::Vertex*> rows_;
+
+  // budget_cache_[slice * N + rack], valid where budget_cached_[slice].
+  std::vector<double> budget_cache_;
+  std::vector<std::uint8_t> budget_cached_;
+
+  // allocate() scratch, reused across calls.
+  std::vector<std::int64_t> out_flows_;
+  std::vector<std::int64_t> in_flows_;
+  std::vector<GroupRate> rates_;
+  std::vector<double> used_up_;
+  std::vector<double> used_down_;
+  std::vector<double> headroom_;
+  std::vector<double> vlb_out_want_;
+  std::vector<double> vlb_in_want_;
+  std::vector<double> scale_up_;
+  std::vector<double> scale_down_;
 };
 
 }  // namespace opera::fluid

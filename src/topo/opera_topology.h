@@ -98,6 +98,13 @@ class OperaTopology {
   // reconfiguring_switch()).
   [[nodiscard]] Vertex circuit_peer(int sw, Vertex rack, int slice) const;
 
+  // Every rack's peer on `sw` during `slice`, indexed by rack:
+  // circuit_row(sw, slice)[rack] == circuit_peer(sw, rack, slice). Resolve
+  // the row once when reading many racks of one slice.
+  [[nodiscard]] const Matching& circuit_row(int sw, int slice) const {
+    return matchings_[matching_index(sw, slice)];
+  }
+
   // Union of the u-1 active matchings in `slice` (u matchings if
   // `include_reconfiguring` — used to model the instant after the switch
   // settles). Optional failures remove racks/switches/uplinks.
