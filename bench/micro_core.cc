@@ -112,56 +112,48 @@ void BM_PortQueue(benchmark::State& state) {
 }
 BENCHMARK(BM_PortQueue);
 
-void BM_OperaEndToEnd(benchmark::State& state) {
-  // Simulated-time throughput of the whole stack: a 16-rack Opera network
-  // at moderate low-latency load for 5 ms of simulated time.
-  for (auto _ : state) {
-    core::OperaConfig cfg;
-    cfg.topology.num_racks = 16;
-    cfg.topology.num_switches = 4;
-    cfg.topology.hosts_per_rack = 4;
-    cfg.topology.seed = 11;
-    core::OperaNetwork net(cfg);
-    sim::Rng rng(7);
-    for (int i = 0; i < 100; ++i) {
-      const auto src = static_cast<std::int32_t>(rng.index(64));
-      auto dst = static_cast<std::int32_t>(rng.index(64));
-      if (dst == src) dst = (dst + 1) % 64;
-      net.submit_flow(src, dst, 20'000,
-                      sim::Time::us(static_cast<std::int64_t>(rng.index(1'000))));
-    }
-    net.run_until(sim::Time::ms(5));
-    benchmark::DoNotOptimize(net.tracker().completed());
+// Simulated-time throughput of the whole stack: a 16-rack Opera network
+// at moderate low-latency load for 5 ms of simulated time, its event loop
+// sharded over `threads` rack domains. Returns the events executed — the
+// same for any thread count.
+std::uint64_t run_opera_end_to_end(int threads) {
+  core::OperaConfig cfg;
+  cfg.topology.num_racks = 16;
+  cfg.topology.num_switches = 4;
+  cfg.topology.hosts_per_rack = 4;
+  cfg.topology.seed = 11;
+  cfg.threads = threads;
+  core::OperaNetwork net(cfg);
+  sim::Rng rng(7);
+  for (int i = 0; i < 100; ++i) {
+    const auto src = static_cast<std::int32_t>(rng.index(64));
+    auto dst = static_cast<std::int32_t>(rng.index(64));
+    if (dst == src) dst = (dst + 1) % 64;
+    net.submit_flow(src, dst, 20'000,
+                    sim::Time::us(static_cast<std::int64_t>(rng.index(1'000))));
   }
+  net.run_until(sim::Time::ms(5));
+  benchmark::DoNotOptimize(net.tracker().completed());
+  return net.events_executed();
+}
+
+void BM_OperaEndToEnd(benchmark::State& state) {
+  std::uint64_t events = 0;
+  for (auto _ : state) events = run_opera_end_to_end(1);
+  // Deterministic work per iteration, next to the wall time.
+  state.counters["events"] = static_cast<double>(events);
   state.SetLabel("16 racks, 100 flows, 5 ms simulated");
 }
 BENCHMARK(BM_OperaEndToEnd)->Unit(benchmark::kMillisecond);
 
 void BM_ShardedOperaEndToEnd(benchmark::State& state) {
-  // The fig08-style scaling row: the same end-to-end stack as
-  // BM_OperaEndToEnd with the event loop sharded over N rack domains —
-  // output is bit-identical across arguments; wall-clock shows the
-  // barrier/mailbox cost on this machine (and the speedup, given cores).
-  const int threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    core::OperaConfig cfg;
-    cfg.topology.num_racks = 16;
-    cfg.topology.num_switches = 4;
-    cfg.topology.hosts_per_rack = 4;
-    cfg.topology.seed = 11;
-    cfg.threads = threads;
-    core::OperaNetwork net(cfg);
-    sim::Rng rng(7);
-    for (int i = 0; i < 100; ++i) {
-      const auto src = static_cast<std::int32_t>(rng.index(64));
-      auto dst = static_cast<std::int32_t>(rng.index(64));
-      if (dst == src) dst = (dst + 1) % 64;
-      net.submit_flow(src, dst, 20'000,
-                      sim::Time::us(static_cast<std::int64_t>(rng.index(1'000))));
-    }
-    net.run_until(sim::Time::ms(5));
-    benchmark::DoNotOptimize(net.tracker().completed());
-  }
+  // The fig08-style scaling row: BM_OperaEndToEnd's run sharded over N
+  // rack domains — output is bit-identical across arguments; wall-clock
+  // shows the barrier/mailbox cost on this machine (and the speedup,
+  // given cores).
+  std::uint64_t events = 0;
+  for (auto _ : state) events = run_opera_end_to_end(static_cast<int>(state.range(0)));
+  state.counters["events"] = static_cast<double>(events);
   state.SetLabel("16 racks, 100 flows, 5 ms simulated, sharded");
 }
 BENCHMARK(BM_ShardedOperaEndToEnd)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cstdio>
 #include <limits>
+#include <utility>
 
 namespace opera::core {
 
@@ -57,6 +58,7 @@ OperaNetwork::OperaNetwork(const OperaConfig& config)
   // bulk grants across every rack, so it runs single-threaded between
   // epochs, before any shard processes events of the same timestamp.
   wire_all_uplinks(0);
+  refresh_uplink_rows();
   engine_.global().schedule_at(sim::Time::zero(), [this] { on_slice_boundary(0); });
 }
 
@@ -81,15 +83,36 @@ int OperaNetwork::routing_slice(sim::Time now) const {
 }
 
 int OperaNetwork::uplink_to(int slice, std::int32_t rack, std::int32_t peer_rack) const {
-  const int down = topo_.reconfiguring_switch(slice);
+  const UplinkRow& row = uplink_rows_[0].slice == slice ? uplink_rows_[0] : uplink_rows_[1];
+  assert(row.slice == slice);
+  const std::int32_t* peers =
+      row.peers.data() + static_cast<std::size_t>(rack) * static_cast<std::size_t>(num_rotors_);
   for (int sw = 0; sw < num_rotors_; ++sw) {
-    if (sw == down || !uplink_alive(sw, rack)) continue;
-    // The circuit also needs the peer's uplink to this switch.
-    if (topo_.circuit_peer(sw, rack, slice) == peer_rack && uplink_alive(sw, peer_rack)) {
-      return sw;
-    }
+    if (peers[sw] == peer_rack) return sw;
   }
   return -1;
+}
+
+void OperaNetwork::build_uplink_row(int slice, UplinkRow& row) const {
+  const auto u = static_cast<std::size_t>(num_rotors_);
+  row.slice = slice;
+  row.peers.resize(static_cast<std::size_t>(topo_.num_racks()) * u);
+  for (int sw = 0; sw < num_rotors_; ++sw) {
+    const topo::Matching& matching = topo_.circuit_row(sw, slice);
+    for (topo::Vertex r = 0; r < topo_.num_racks(); ++r) {
+      const topo::Vertex peer = matching[static_cast<std::size_t>(r)];
+      row.peers[static_cast<std::size_t>(r) * u + static_cast<std::size_t>(sw)] =
+          circuit_usable(slice, sw, r, peer) ? peer : -1;
+    }
+  }
+}
+
+void OperaNetwork::refresh_uplink_rows(bool failures_changed) {
+  if (failures_changed) uplink_rows_[0].slice = uplink_rows_[1].slice = -1;
+  const int next = (current_slice_ + 1) % topo_.num_slices();
+  if (uplink_rows_[1].slice == current_slice_) std::swap(uplink_rows_[0], uplink_rows_[1]);
+  if (uplink_rows_[0].slice != current_slice_) build_uplink_row(current_slice_, uplink_rows_[0]);
+  if (uplink_rows_[1].slice != next) build_uplink_row(next, uplink_rows_[1]);
 }
 
 bool OperaNetwork::circuit_usable(int slice, int sw, topo::Vertex rack,
@@ -105,6 +128,7 @@ void OperaNetwork::send_nack(net::Switch& tor, const net::Packet& pkt) {
 void OperaNetwork::on_slice_boundary(std::int64_t abs_slice) {
   abs_slice_ = abs_slice;
   current_slice_ = static_cast<int>(abs_slice % topo_.num_slices());
+  refresh_uplink_rows();
   const int slice = current_slice_;
   const int sw_dn = topo_.reconfiguring_switch(slice);
   const int next_slice = (slice + 1) % topo_.num_slices();
@@ -156,6 +180,7 @@ net::TrafficClass OperaNetwork::classify(const transport::Flow& flow,
 void OperaNetwork::inject_uplink_failure(std::int32_t rack, int rotor_switch) {
   failures_.uplink_failed[static_cast<std::size_t>(rack)]
                          [static_cast<std::size_t>(rotor_switch)] = true;
+  refresh_uplink_rows(/*failures_changed=*/true);
   // Anything queued on the dead uplink is lost now; NACK bulk back to the
   // sources over the (still connected) expander.
   take_uplink_down(tor(rack), rotor_switch);
@@ -166,6 +191,7 @@ void OperaNetwork::inject_uplink_failure(std::int32_t rack, int rotor_switch) {
 
 void OperaNetwork::inject_switch_failure(int rotor_switch) {
   failures_.switch_failed[static_cast<std::size_t>(rotor_switch)] = true;
+  refresh_uplink_rows(/*failures_changed=*/true);
   for (auto& t : tors_) take_uplink_down(*t, rotor_switch);
   engine_.global().schedule_in(config_.cycle_time(), [this] { recompute_after_failure(); });
 }
@@ -187,6 +213,7 @@ void OperaNetwork::rewire_switch_now(int rotor_switch) {
 void OperaNetwork::recover_uplink(std::int32_t rack, int rotor_switch) {
   failures_.uplink_failed[static_cast<std::size_t>(rack)]
                          [static_cast<std::size_t>(rotor_switch)] = false;
+  refresh_uplink_rows(/*failures_changed=*/true);
   // Both endpoints of any circuit through (rack, rotor_switch) may come
   // back; re-wiring the whole switch is idempotent for untouched racks.
   rewire_switch_now(rotor_switch);
@@ -195,6 +222,7 @@ void OperaNetwork::recover_uplink(std::int32_t rack, int rotor_switch) {
 
 void OperaNetwork::recover_switch(int rotor_switch) {
   failures_.switch_failed[static_cast<std::size_t>(rotor_switch)] = false;
+  refresh_uplink_rows(/*failures_changed=*/true);
   rewire_switch_now(rotor_switch);
   engine_.global().schedule_in(config_.cycle_time(), [this] { recompute_after_failure(); });
 }
@@ -238,17 +266,34 @@ void OperaNetwork::recompute_after_failure() {
   // final direct circuit no longer exists (its matching lived on a failed
   // switch/uplink), and stop routing new VLB traffic through dead-end
   // relays. NACKs send stranded packets back to their sources.
-  for (topo::Vertex r = 0; r < topo_.num_racks(); ++r) {
-    auto& relay = *relays_[static_cast<std::size_t>(r)];
-    for (topo::Vertex dst = 0; dst < topo_.num_racks(); ++dst) {
-      if (dst == r) continue;
-      bool reachable = false;
-      for (int s = 0; s < topo_.num_slices() && !reachable; ++s) {
-        reachable = uplink_to(s, r, dst) >= 0;
+  const topo::Vertex n = topo_.num_racks();
+  for (topo::Vertex r = 0; r < n; ++r) {
+    auto& reach = relay_reach_[static_cast<std::size_t>(r)];
+    for (topo::Vertex dst = 0; dst < n; ++dst) {
+      if (dst != r) reach[static_cast<std::size_t>(dst)] = false;
+    }
+  }
+  UplinkRow row;
+  for (int s = 0; s < topo_.num_slices(); ++s) {
+    build_uplink_row(s, row);
+    for (topo::Vertex r = 0; r < n; ++r) {
+      for (int sw = 0; sw < num_rotors_; ++sw) {
+        const std::int32_t peer =
+            row.peers[static_cast<std::size_t>(r) * static_cast<std::size_t>(num_rotors_) +
+                      static_cast<std::size_t>(sw)];
+        if (peer >= 0 && peer != r) {
+          relay_reach_[static_cast<std::size_t>(r)][static_cast<std::size_t>(peer)] = true;
+        }
       }
-      relay_reach_[static_cast<std::size_t>(r)][static_cast<std::size_t>(dst)] =
-          reachable;
-      if (reachable || relay.queued_bytes(dst) == 0) continue;
+    }
+  }
+  for (topo::Vertex r = 0; r < n; ++r) {
+    auto& relay = *relays_[static_cast<std::size_t>(r)];
+    for (topo::Vertex dst = 0; dst < n; ++dst) {
+      if (dst == r || relay_reach_[static_cast<std::size_t>(r)][static_cast<std::size_t>(dst)] ||
+          relay.queued_bytes(dst) == 0) {
+        continue;
+      }
       for (auto& pkt : relay.take(dst, std::numeric_limits<std::int64_t>::max())) {
         nack_dropped(tor(r), *pkt);
       }

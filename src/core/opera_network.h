@@ -104,19 +104,19 @@ class OperaNetwork final : public RotorFabric {
   // shard clocks are deliberately excluded (partition-dependent).
   void fingerprint(sim::Fingerprint& fp) const override;
 
+  // The usable uplink (rotor switch index) whose circuit reaches
+  // `peer_rack` from `rack` in `slice`; -1 if none. Skips the
+  // reconfiguring switch and failed switches/uplinks at either end
+  // (circuit_usable). `slice` must be the current or the next slice, the
+  // only ones forwarding asks for: it reads their cached rows.
+  [[nodiscard]] int uplink_to(int slice, std::int32_t rack, std::int32_t peer_rack) const;
+
   // Memory-pressure degradation: halves the slice-table window (floor
   // topo::SliceTableCache::kMinWindow). Content-neutral — window size is
   // parity-tested to never change output (SliceWindowParity).
   bool degrade_memory() override;
 
  private:
-  friend class RotorFabric;  // its ToR forward closure calls uplink_to
-
-  // The usable uplink (rotor switch index) whose circuit reaches
-  // `peer_rack` from `rack` in `slice`; -1 if none. Skips the
-  // reconfiguring switch and failed switches/uplinks at either end.
-  [[nodiscard]] int uplink_to(int slice, std::int32_t rack, std::int32_t peer_rack) const;
-
   // By size against bulk_threshold_bytes unless forced (the paper's
   // application-based tagging, §3.4); intra-rack flows always take the
   // one-hop low-latency path.
@@ -137,6 +137,21 @@ class OperaNetwork final : public RotorFabric {
                                    [static_cast<std::size_t>(sw)];
   }
   void recompute_after_failure();
+
+  // One slice's usable circuits, rack-major: peers[rack * u + sw] is the
+  // rack `rack` reaches through rotor `sw`, or -1 where circuit_usable()
+  // says no. The one definition of "usable" for forwarding and for the
+  // reachability recompute.
+  struct UplinkRow {
+    int slice = -1;
+    std::vector<std::int32_t> peers;
+  };
+  void build_uplink_row(int slice, UplinkRow& row) const;
+  // Keeps uplink_rows_ on the current and next slice: at each boundary
+  // the old next row becomes the current one and only the new next row is
+  // built. After any change to failures_ call with `failures_changed`, which
+  // rebuilds both.
+  void refresh_uplink_rows(bool failures_changed = false);
   // Re-wires one rotor switch's ports to the matching active *now* (used
   // by recovery; skips racks whose own uplink is failed / self-matches /
   // the currently-reconfiguring switch, which its settle event owns).
@@ -159,6 +174,9 @@ class OperaNetwork final : public RotorFabric {
   bool route_around_failures_ = false;
 
   std::int64_t abs_slice_ = 0;
+  // Rows for current_slice_ and the slice after it, in either order. Both
+  // change only on the coordinator, so shard-side reads never race them.
+  UplinkRow uplink_rows_[2];
 
   // Rotor desync state (inject_slice_skew): per-switch extra settle delay
   // and how many upcoming reconfigurations it still applies to.

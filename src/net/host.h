@@ -43,6 +43,7 @@ class Host : public Node {
 
  private:
   void pacer_kick();
+  void wake_pacer();
 
   std::int32_t id_;
   std::int32_t rack_;
@@ -52,7 +53,9 @@ class Host : public Node {
   std::unordered_map<std::uint64_t, FlowHandler> handlers_;
   DefaultHandler default_handler_;
   PacketRing pacer_queue_;
-  bool pacer_busy_ = false;
+  // One emission per MTU time; the wake-up is scheduled only while a
+  // control packet waits (see sim::BusyUntil).
+  sim::BusyUntil pacer_;
 };
 
 }  // namespace opera::net

@@ -39,16 +39,21 @@ void OutPort::clear_gray() {
 }
 
 void OutPort::pump() {
-  if (busy_ || !enabled_ || queue_.empty()) return;
+  if (!enabled_ || queue_.empty()) return;
+  sim::Simulator& sim = ctx_.sim();
+  if (tx_.busy(sim)) {
+    wake_when_free();
+    return;
+  }
   PacketPtr pkt = queue_.dequeue();
   assert(pkt != nullptr);
-  busy_ = true;
   const sim::Time serialization = sim::Time::transmission(pkt->size_bytes, rate_bps_);
   // Capture the wire endpoints at serialization start: a rotor retarget
   // mid-flight must not redirect bits already on the fiber.
   Node* peer = peer_;
   const int in_port = peer_in_port_;
   sim::Time arrival_delay = serialization + latency_;
+  bool corrupted = false;
   if (gray_) {
     // Hash of (packet identity, per-port salt, per-port transmission
     // count). The counter makes each transmission attempt a fresh coin —
@@ -63,31 +68,35 @@ void OutPort::pump() {
         pkt->flow_id ^ (pkt->seq * 0x9E3779B97F4A7C15ULL) ^
         (static_cast<std::uint64_t>(pkt->type) << 56) ^ gray_salt_ ^
         sim::mix64(attempt));
-    if (h < gray_threshold_) {
-      // Corrupted on the wire: the serializer stays occupied for the full
-      // transmission, but no arrival is posted.
+    // Corrupted on the wire: the serializer stays occupied for the full
+    // transmission, but no arrival is posted.
+    corrupted = h < gray_threshold_;
+    if (corrupted) {
       ++gray_drops_;
-      ctx_.schedule_in(serialization, [this] {
-        busy_ = false;
-        pump();
-      });
-      return;
+    } else {
+      arrival_delay += gray_extra_latency_;
     }
-    arrival_delay += gray_extra_latency_;
   }
-  // The arrival is posted into the *peer's* domain — a mailbox hop when
-  // the peer lives on another shard; `latency_` is what bounds the
-  // sharded engine's lookahead. The callback owns the packet (SmallCallback
-  // is move-only-capable), so an in-flight packet whose arrival never
-  // fires — simulator torn down mid-run — is still reclaimed.
-  ctx_.post(peer->ctx(), ctx_.now() + arrival_delay,
-            [peer, in_port, pkt = std::move(pkt)]() mutable {
-              peer->receive(std::move(pkt), in_port);
-            });
-  ctx_.schedule_in(serialization, [this] {
-    busy_ = false;
-    pump();
-  });
+  if (!corrupted) {
+    // The arrival is posted into the *peer's* domain — a mailbox hop when
+    // the peer lives on another shard; `latency_` is what bounds the
+    // sharded engine's lookahead. The callback owns the packet
+    // (SmallCallback is move-only-capable), so an in-flight packet whose
+    // arrival never fires — simulator torn down mid-run — is still
+    // reclaimed.
+    ctx_.post(peer->ctx(), ctx_.now() + arrival_delay,
+              [peer, in_port, pkt = std::move(pkt)]() mutable {
+                peer->receive(std::move(pkt), in_port);
+              });
+  }
+  // Taken after the arrival's key, where the eager serializer-done event
+  // took its own, so every later key is the same as with that event.
+  tx_.start(sim, serialization);
+  if (!queue_.empty()) wake_when_free();
+}
+
+void OutPort::wake_when_free() {
+  tx_.wake(ctx_.sim(), [this] { pump(); });
 }
 
 }  // namespace opera::net

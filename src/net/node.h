@@ -85,7 +85,7 @@ class OutPort {
   // by address (addresses differ run to run).
   void fingerprint(sim::Fingerprint& fp) const {
     fp.mix_bool(enabled_);
-    fp.mix_bool(busy_);
+    fp.mix_time(tx_.until());
     fp.mix_bool(gray_);
     fp.mix_i64(gray_drops_);
     fp.mix_i64(gray_tested_);
@@ -93,15 +93,20 @@ class OutPort {
   }
 
  private:
+  // Starts the next packet if the serializer is free; otherwise makes
+  // sure it wakes when it frees up.
   void pump();
+  void wake_when_free();
 
   sim::ShardContext& ctx_;
   double rate_bps_;
   sim::Time latency_;
   PortQueue queue_;
   Node* peer_ = nullptr;
+  // The serializer: busy until the packet on the wire is fully sent. Its
+  // "done, send the next one" event is scheduled only while a packet waits.
+  sim::BusyUntil tx_;
   int peer_in_port_ = -1;
-  bool busy_ = false;
   bool enabled_ = true;
   bool gray_ = false;
   std::uint64_t gray_threshold_ = 0;  // loss * 2^64, compared against a hash

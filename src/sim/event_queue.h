@@ -9,8 +9,10 @@
 // equal-time tie-break independent of how the simulation is partitioned
 // into shards (see sim/sharded.h).
 //
-// Layout (the per-packet hot path schedules and fires two events, so this
-// is the single hottest structure in the simulator):
+// Layout (every packet hop schedules and fires one event, its arrival —
+// a serializer's done event only exists while a packet waits behind it,
+// see sim::BusyUntil — so this is the single hottest structure in the
+// simulator):
 //   * a slab of reusable slots holds each pending event; freed slots go on
 //     a free list and are reused, so steady-state scheduling performs no
 //     heap allocation (callbacks use SmallCallback's inline buffer). The

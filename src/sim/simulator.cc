@@ -23,6 +23,10 @@ void Simulator::dispatch_one(DispatchFrame& frame) {
   frame.children = 0;
   // Advance the clock before dispatching so callbacks observe now().
   now_ = at;
+  if (at != dispatch_at_ || frame.key > dispatch_max_key_) {
+    dispatch_at_ = at;
+    dispatch_max_key_ = frame.key;
+  }
   fn();
 }
 
@@ -40,6 +44,7 @@ std::uint64_t Simulator::run_until(Time until) {
     // so back-to-back run_until() calls see monotonic time. An early stop
     // keeps the stop point (run_with_progress reads it as ended_at).
     if (until > now_ && until != Time::infinity()) now_ = until;
+    if (now_ <= until) mark_all_dispatched();
   }
   events_executed_ += n;
   return n;
@@ -54,6 +59,7 @@ std::uint64_t Simulator::run() {
     dispatch_one(frame);
     ++n;
   }
+  if (!stopped_) mark_all_dispatched();
   events_executed_ += n;
   return n;
 }
@@ -69,6 +75,7 @@ std::uint64_t Simulator::run_window(Time end, bool inclusive) {
     ++n;
   }
   advance_to(end);
+  if (inclusive && now_ == end) mark_all_dispatched();
   events_executed_ += n;
   return n;
 }

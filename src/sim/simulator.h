@@ -13,8 +13,10 @@
 // from its true parent.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
+#include <utility>
 
 #include "sim/checkpoint.h"
 #include "sim/event_queue.h"
@@ -77,6 +79,21 @@ class Simulator {
   // interrupted at barriers, not mid-window.
   std::uint64_t run_window(Time end, bool inclusive = false);
 
+  // Whether an event at (`at`, `key`) would already have fired had it been
+  // scheduled (at some time before `at`) — for an event that was never
+  // actually put in the queue. True once the clock is past `at`, or when
+  // an event at exactly `at` with key >= `key` has been dispatched: the
+  // queue pops in (time, key) order, so such an event would have come
+  // second. The largest key dispatched is tracked per dispatch time (it
+  // resets when the time changes) and reads all-ones after a run(), or an
+  // inclusive run_until/run_window, that completed at `at`, which ran
+  // every event there. A global event at `at` runs before this simulator's own
+  // events at `at` (sim/sharded.h), so it correctly sees "not yet".
+  // BusyUntil below is the one user.
+  [[nodiscard]] bool passed(Time at, std::uint64_t key) const {
+    return now_ > at || (at == dispatch_at_ && dispatch_max_key_ >= key);
+  }
+
   // Advances the clock without running anything (barrier commit).
   void advance_to(Time t) {
     if (t > now_) now_ = t;
@@ -117,12 +134,58 @@ class Simulator {
 
   // Pops and dispatches the earliest event inside a frame.
   void dispatch_one(DispatchFrame& frame);
+  // After a run that completed inclusively: every event up to now ran.
+  void mark_all_dispatched() {
+    dispatch_at_ = now_;
+    dispatch_max_key_ = ~std::uint64_t{0};
+  }
 
   EventQueue queue_;
   Time now_ = Time::zero();
   bool stopped_ = false;
   std::uint64_t events_executed_ = 0;
   std::uint64_t next_key_ = 0;  // root-event counter
+  // passed(): the latest dispatch time and the largest key dispatched at it.
+  Time dispatch_at_ = Time::ps(-1);
+  std::uint64_t dispatch_max_key_ = 0;
+};
+
+// A busy period (a serializer, a pacer) whose end event is scheduled only
+// when work waits behind it. The eager form schedules "free again, look
+// for more work" at the end of every busy period, and most of those
+// events find nothing to do. start() instead takes the order key that
+// event would have had (derive_key() at the same point, so every sibling
+// and child key stays the same) and busy() asks Simulator::passed whether
+// it would already have fired. wake() schedules it for real, at exactly
+// its (time, key), once something waits; the owner's callback re-checks
+// busy() like any other caller.
+class BusyUntil {
+ public:
+  [[nodiscard]] bool busy(const Simulator& sim) const { return !sim.passed(until_, key_); }
+  [[nodiscard]] Time until() const { return until_; }
+
+  // Starts a busy period of `duration` (> 0: an event created at the
+  // instant it fires is not one passed() can judge).
+  void start(Simulator& sim, Time duration) {
+    assert(duration > Time::zero());
+    until_ = sim.now() + duration;
+    key_ = sim.derive_key();
+    wake_pending_ = false;
+  }
+
+  // Schedules `fn` at the end of the current busy period, once. A call
+  // while one is pending builds no callback.
+  template <typename Fn>
+  void wake(Simulator& sim, Fn&& fn) {
+    if (wake_pending_) return;
+    wake_pending_ = true;
+    sim.schedule_keyed_at(until_, key_, std::forward<Fn>(fn));
+  }
+
+ private:
+  Time until_ = Time::ps(-1);  // free from the start
+  std::uint64_t key_ = 0;
+  bool wake_pending_ = false;
 };
 
 }  // namespace opera::sim

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/rng.h"
+
 namespace opera::core {
 namespace {
 
@@ -144,6 +146,100 @@ TEST(OperaNetwork, BulkSkewUsesVlb) {
   if (net2.tracker().completed() < 4u) novlb_worst = 200.0;  // still running
   EXPECT_LT(vlb_worst, novlb_worst);
 }
+
+
+// uplink_to reads a per-slice row of usable peers, kept for the current
+// and next slice and rebuilt on every failure change. The reference is the
+// scan it replaced: every rotor, skipping the reconfiguring switch and
+// failed switches or uplinks at either end, judged against the live
+// failure set. Over a full cycle every slice is checked as current, as
+// next, and as the drain window's routing slice.
+int scanned_uplink_to(const OperaNetwork& net, int slice, std::int32_t rack,
+                      std::int32_t peer_rack) {
+  const topo::OperaTopology& topo = net.topology();
+  const topo::FailureSet& failures = net.failures();
+  const auto alive = [&](int sw, std::int32_t r) {
+    return !failures.switch_failed[static_cast<std::size_t>(sw)] &&
+           !failures.uplink_failed[static_cast<std::size_t>(r)][static_cast<std::size_t>(sw)];
+  };
+  const int down = topo.reconfiguring_switch(slice);
+  for (int sw = 0; sw < topo.num_switches(); ++sw) {
+    if (sw == down || !alive(sw, rack)) continue;
+    if (topo.circuit_peer(sw, rack, slice) == peer_rack && alive(sw, peer_rack)) return sw;
+  }
+  return -1;
+}
+
+// Every (rack, peer) of `slice`, self-pairs included; returns mismatches.
+int uplink_mismatches(const OperaNetwork& net, int slice) {
+  int bad = 0;
+  for (std::int32_t r = 0; r < net.num_racks(); ++r) {
+    for (std::int32_t p = 0; p < net.num_racks(); ++p) {
+      if (net.uplink_to(slice, r, p) != scanned_uplink_to(net, slice, r, p)) ++bad;
+    }
+  }
+  return bad;
+}
+
+void check_uplink_rows(std::int32_t racks, int rotors, std::uint64_t seed) {
+  OperaConfig cfg;
+  cfg.topology.num_racks = racks;
+  cfg.topology.num_switches = rotors;
+  cfg.topology.hosts_per_rack = 2;
+  cfg.topology.seed = seed;
+  cfg.seed = seed + 1;
+  OperaNetwork net(cfg);
+  const int slices = net.topology().num_slices();
+  const sim::Time d = cfg.slice.duration;
+  sim::Rng rng(seed);
+  std::vector<std::pair<std::int32_t, int>> failed_uplinks;
+  int failed_switch = -1;
+  int changes = 0;
+  // One cycle and a bit, failures and recoveries sprinkled in; each
+  // change is checked at once (the rows must follow failures_ without
+  // waiting for the hello-protocol recompute).
+  for (int abs = 0; abs < slices + 4; ++abs) {
+    net.run_until(d * abs);
+    const int cur = net.current_slice();
+    ASSERT_EQ(cur, abs % slices);
+    const int next = (cur + 1) % slices;
+    ASSERT_EQ(uplink_mismatches(net, cur), 0) << "slice " << cur;
+    ASSERT_EQ(uplink_mismatches(net, next), 0) << "next slice " << next;
+
+    // Inside the drain window forwarding already routes by the next slice.
+    net.run_until(d * abs + d - cfg.slice.drain_window / 2);
+    ASSERT_EQ(net.routing_slice(), next);
+    ASSERT_EQ(uplink_mismatches(net, net.routing_slice()), 0) << "drain " << next;
+
+    const int pick = static_cast<int>(rng.uniform_int(0, 9));
+    if (pick < 3) {
+      const auto rack = static_cast<std::int32_t>(rng.uniform_int(0, racks - 1));
+      const auto sw = static_cast<int>(rng.uniform_int(0, rotors - 1));
+      net.inject_uplink_failure(rack, sw);
+      failed_uplinks.emplace_back(rack, sw);
+    } else if (pick < 5 && !failed_uplinks.empty()) {
+      const std::size_t i = rng.index(failed_uplinks.size());
+      net.recover_uplink(failed_uplinks[i].first, failed_uplinks[i].second);
+      failed_uplinks.erase(failed_uplinks.begin() + static_cast<std::ptrdiff_t>(i));
+    } else if (pick == 5 && failed_switch < 0) {
+      failed_switch = static_cast<int>(rng.uniform_int(0, rotors - 1));
+      net.inject_switch_failure(failed_switch);
+    } else if (pick == 6 && failed_switch >= 0) {
+      net.recover_switch(failed_switch);
+      failed_switch = -1;
+    } else {
+      --changes;
+    }
+    ++changes;
+    ASSERT_EQ(uplink_mismatches(net, cur), 0) << "after change, slice " << cur;
+    ASSERT_EQ(uplink_mismatches(net, next), 0) << "after change, slice " << next;
+  }
+  EXPECT_GT(changes, slices / 4);
+}
+
+TEST(OperaUplinkRows, MatchScanAcrossSlicesAndFailures16x4) { check_uplink_rows(16, 4, 5); }
+
+TEST(OperaUplinkRows, MatchScanAcrossSlicesAndFailures108x6) { check_uplink_rows(108, 6, 9); }
 
 }  // namespace
 }  // namespace opera::core

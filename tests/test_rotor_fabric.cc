@@ -6,6 +6,9 @@
 // loop: skewed bulk with and without VLB, an uplink failure and recovery
 // that masks dead-end relays, and RotorNet with and without its hybrid
 // packet core. Any change to grant order, budgets or rng draws moves a pin.
+// The event count and the fingerprint also see which engine events exist
+// (a port's serializer-done event is scheduled only while a packet waits),
+// so a change there moves them while the tracker digests stay put.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -120,7 +123,7 @@ Observed run_rotornet(bool hybrid) {
 TEST(RotorFabricGolden, OperaSkewedBulkWithVlb) {
   const Observed got = run_opera(opera_16x4(), false);
   EXPECT_GT(got.completed, 0u);
-  expect_pinned(got, {0x2c67e6a92da80fa0ULL, 1055583, 0xe263a271a9d57237ULL}, true);
+  expect_pinned(got, {0x2c67e6a92da80fa0ULL, 954025, 0xe250cd8503c1588eULL}, true);
 }
 
 TEST(RotorFabricGolden, OperaSkewedBulkWithoutVlb) {
@@ -128,25 +131,25 @@ TEST(RotorFabricGolden, OperaSkewedBulkWithoutVlb) {
   cfg.enable_vlb = false;
   const Observed got = run_opera(cfg, false);
   EXPECT_GT(got.completed, 0u);
-  expect_pinned(got, {0x346f2cf4997be5d4ULL, 218806, 0x1e117691d5573a1bULL}, true);
+  expect_pinned(got, {0x346f2cf4997be5d4ULL, 181809, 0xb26f696f9ec500c6ULL}, true);
 }
 
 TEST(RotorFabricGolden, OperaUplinkFailureAndRecovery) {
   const Observed got = run_opera(opera_16x4(), true);
   EXPECT_GT(got.completed, 0u);
-  expect_pinned(got, {0x0d4a17eaebcae7adULL, 1073205, 0x8c80bca801286601ULL}, true);
+  expect_pinned(got, {0x0d4a17eaebcae7adULL, 967099, 0x87d37a347f244f60ULL}, true);
 }
 
 TEST(RotorFabricGolden, RotorNet) {
   const Observed got = run_rotornet(false);
   EXPECT_GT(got.completed, 0u);
-  expect_pinned(got, {0xab0bd9cba0add507ULL, 1034967, 0}, false);
+  expect_pinned(got, {0xab0bd9cba0add507ULL, 948612, 0}, false);
 }
 
 TEST(RotorFabricGolden, RotorNetHybridMixed) {
   const Observed got = run_rotornet(true);
   EXPECT_GT(got.completed, 0u);
-  expect_pinned(got, {0xaab49aa049cd8153ULL, 1049341, 0}, false);
+  expect_pinned(got, {0xaab49aa049cd8153ULL, 957571, 0}, false);
 }
 
 }  // namespace

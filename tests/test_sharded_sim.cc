@@ -196,5 +196,73 @@ TEST(ShardedSimulator, SeededRootsKeepSubmissionOrderAtEqualTimes) {
   }
 }
 
+
+// BusyUntil on a shard, probed from the coordinator: a global event runs
+// before the shard's own events at its instant, so at exactly the end of
+// a busy period the (never queued) end event has not fired yet.
+TEST(ShardedPassed, GlobalEventAtBusyUntilStillSeesBusy) {
+  for (const int shards : {1, 2}) {
+    ShardedSimulator engine(shards, Time::us(1));
+    const int s = shards - 1;
+    Simulator& sim = engine.shard(s).sim();
+    BusyUntil busy;
+    std::vector<int> seen;  // 1 = busy
+    engine.seed(s, Time::us(2), [&] { busy.start(sim, Time::us(3)); });
+    const auto probe = [&] { seen.push_back(busy.busy(sim) ? 1 : 0); };
+    engine.global().schedule_at(Time::us(4), probe);
+    engine.global().schedule_at(Time::us(5), probe);  // == until()
+    engine.global().schedule_at(Time::us(6), probe);
+    // A shard event at the same instant with a smaller (root) key: still
+    // before the derived end key.
+    engine.seed(s, Time::us(5), probe);
+    engine.run_until(Time::us(10));
+    EXPECT_EQ(seen, (std::vector<int>{1, 1, 1, 0})) << "shards=" << shards;
+  }
+}
+
+TEST(ShardedPassed, OutsideDispatchAfterInclusiveRunAndAfterGlobalStop) {
+  for (const int shards : {1, 2}) {
+    {
+      // run_until(t) is inclusive: every shard event at t ran, so a busy
+      // period ending at t is over — also for the next call's global
+      // events at t.
+      ShardedSimulator engine(shards, Time::us(1));
+      Simulator& sim = engine.shard(0).sim();
+      BusyUntil busy;
+      engine.seed(0, Time::us(2), [&] { busy.start(sim, Time::us(3)); });
+      engine.run_until(Time::us(5));
+      EXPECT_FALSE(busy.busy(sim)) << "shards=" << shards;
+      bool busy_in_global = true;
+      engine.global().schedule_at(Time::us(5), [&] { busy_in_global = busy.busy(sim); });
+      engine.run_until(Time::us(6));
+      EXPECT_FALSE(busy_in_global) << "shards=" << shards;
+    }
+    {
+      // A stop requested by a global event at t returns before any shard
+      // event at t: the period ending at t is still running, and the
+      // woken event fires once the run resumes.
+      ShardedSimulator engine(shards, Time::us(1));
+      Simulator& sim = engine.shard(0).sim();
+      BusyUntil busy;
+      Time woke_at = Time::infinity();
+      engine.seed(0, Time::us(2), [&] {
+        busy.start(sim, Time::us(3));
+        busy.wake(sim, [&] {
+          EXPECT_FALSE(busy.busy(sim));
+          woke_at = sim.now();
+        });
+      });
+      engine.global().schedule_at(Time::us(5), [&] { engine.global().stop(); });
+      engine.run_until(Time::us(10));
+      EXPECT_EQ(engine.now(), Time::us(5));
+      EXPECT_TRUE(busy.busy(sim)) << "shards=" << shards;
+      EXPECT_EQ(woke_at, Time::infinity());
+      engine.run_until(Time::us(10));
+      EXPECT_FALSE(busy.busy(sim));
+      EXPECT_EQ(woke_at, Time::us(5));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace opera::sim
