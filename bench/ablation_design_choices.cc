@@ -1,4 +1,4 @@
-// Ablation bench for the design choices DESIGN.md calls out:
+// Ablation bench for three of the paper's design choices:
 //   (1) the epsilon/drain-window rule (route low-latency traffic off
 //       circuits with impending reconfiguration) — paper §4.1
 //   (2) RotorLB's two-hop VLB fallback for skewed bulk demand — §4.2.2

@@ -2,7 +2,8 @@
 // for a combined Websearch + all-to-all shuffle workload, on
 // cost-equivalent 648-host networks.
 //
-// Capacity model (DESIGN.md substitution for the paper's htsim runs):
+// Capacity model (substitution for the paper's htsim runs; see "Model
+// substitutions" in docs/ARCHITECTURE.md):
 //  * Opera: low-latency bytes ride the expander plane and pay the average
 //    path length; the remaining rotor capacity carries shuffle tax-free.
 //  * expander: both classes pay the expander's average path length over

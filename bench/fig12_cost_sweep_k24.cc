@@ -5,7 +5,8 @@
 // F = 4/alpha oversubscription, the expander gets u = alpha*k/(1+alpha)
 // uplinks (Appendix A). Opera's configuration is fixed (u = k/2); its cost
 // IS alpha, so it appears as a flat line. Throughputs come from the fluid
-// models (DESIGN.md substitution); normalized to active-host capacity.
+// models (see "Model substitutions" in docs/ARCHITECTURE.md); normalized to
+// active-host capacity.
 #include <algorithm>
 
 #include "core/cost_model.h"

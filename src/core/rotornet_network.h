@@ -3,7 +3,8 @@
 // grant controller it shares with Opera, core::RotorFabric). The
 // hybrid variant donates one ToR uplink to an (idealized, non-blocking)
 // packet-switched core that carries low-latency traffic with NDP — this
-// favors the baseline, and is documented in DESIGN.md as a substitution.
+// favors the baseline, and is listed under "Model substitutions" in
+// docs/ARCHITECTURE.md.
 // Each ToR lives on its rack's shard (the hybrid core on shard 0); slice
 // boundaries and rotor settles are coordinator (global) events, as in
 // Opera.

@@ -39,16 +39,16 @@ void run_cost_sweep(Experiment& ex, int k, std::uint64_t rng_seed) {
       "throughput", {"workload", "alpha", "opera", "expander", "folded_clos"});
 
   for (const char* wl : workloads) {
-    // Opera is independent of alpha: compute once.
+    // Opera and Clos share one Opera-sized demand; Opera is independent
+    // of alpha, so compute it once.
+    const fluid::Demand opera_demand = make_workload(wl, opera_racks, d_opera, 7);
     fluid::RotorModelParams rp;
     rp.num_racks = opera_racks;
     rp.uplinks = d_opera;
     rp.link_rate_bps = kRate;
     rp.active_fraction = static_cast<double>(d_opera - 1) / d_opera;
     rp.duty_cycle = 0.9;
-    const double opera_theta = std::min(
-        1.0,
-        fluid::rotor_throughput(make_workload(wl, opera_racks, d_opera, 7), rp));
+    const double opera_theta = std::min(1.0, fluid::rotor_throughput(opera_demand, rp));
 
     for (const double alpha : alphas) {
       // Expander at this cost point.
@@ -63,9 +63,8 @@ void run_cost_sweep(Experiment& ex, int k, std::uint64_t rng_seed) {
 
       // Clos at this cost point.
       const double f = CostModel::clos_oversubscription(alpha);
-      const double clos_theta = std::min(
-          1.0, fluid::clos_throughput(make_workload(wl, opera_racks, d_opera, 7),
-                                      d_opera, kRate, f));
+      const double clos_theta =
+          std::min(1.0, fluid::clos_throughput(opera_demand, d_opera, kRate, f));
 
       table.row({wl, Value(alpha, 2), Value(opera_theta, 3), Value(exp_theta, 3),
                  Value(clos_theta, 3)});

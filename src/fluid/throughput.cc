@@ -9,14 +9,6 @@
 
 namespace opera::fluid {
 
-double Demand::operator()(int a, int b) const {
-  const auto& row = rows_[static_cast<std::size_t>(a)];
-  const auto it = std::lower_bound(
-      row.begin(), row.end(), b,
-      [](const Entry& e, int col) { return e.col < col; });
-  return (it != row.end() && it->col == b) ? it->value : 0.0;
-}
-
 void Demand::add(int a, int b, double bps) {
   if (a == b) return;
   auto& row = rows_[static_cast<std::size_t>(a)];
@@ -42,17 +34,6 @@ double Demand::total() const {
 double Demand::row_sum(int a) const {
   double sum = 0.0;
   for (const Entry& e : rows_[static_cast<std::size_t>(a)]) sum += e.value;
-  return sum;
-}
-
-double Demand::col_sum(int b) const {
-  double sum = 0.0;
-  for (const auto& row : rows_) {
-    const auto it = std::lower_bound(
-        row.begin(), row.end(), b,
-        [](const Entry& e, int col) { return e.col < col; });
-    if (it != row.end() && it->col == b) sum += it->value;
-  }
   return sum;
 }
 
@@ -121,13 +102,88 @@ Demand Demand::skew(int num_racks, int hosts_per_rack, double host_rate_bps,
   return d;
 }
 
+namespace {
+
+// The demand with rows and columns swapped: row b lists b's senders in
+// ascending order, the order a column walk of the dense matrix adds them.
+Demand transpose(const Demand& demand) {
+  Demand t(demand.num_racks());
+  for (int a = 0; a < demand.num_racks(); ++a) {
+    for (const Demand::Entry& e : demand.row(a)) t.add(e.col, a, e.value);
+  }
+  return t;
+}
+
+// A rack pair with positive demand and its one-hop direct capacity.
+struct Cell {
+  std::int32_t src;
+  std::int32_t dst;
+  double demand;
+  double direct_cap;
+};
+
+// Feasibility of theta*demand under one-hop direct plus two-hop VLB relay
+// routing: excess over each pair's direct capacity must fit in the spare
+// per-rack budgets, and every byte leaves its source and enters its
+// destination once.
+bool vlb_feasible(const std::vector<Cell>& cells, const std::vector<double>& budget,
+                  bool enable_vlb, double theta) {
+  std::vector<double> out(budget.size(), 0.0);
+  std::vector<double> in(budget.size(), 0.0);
+  double total_excess = 0.0;
+  for (const Cell& c : cells) {
+    const double want = theta * c.demand;
+    const double excess = std::max(0.0, want - c.direct_cap);
+    if (excess > 0.0 && !enable_vlb) return false;
+    out[static_cast<std::size_t>(c.src)] += want;  // first hop always leaves src
+    in[static_cast<std::size_t>(c.dst)] += want;   // last hop always enters dst
+    total_excess += excess;
+  }
+  double relay_capacity = 0.0;
+  for (std::size_t r = 0; r < budget.size(); ++r) {
+    const double spare_out = budget[r] - out[r];
+    const double spare_in = budget[r] - in[r];
+    if (spare_out < 0.0 || spare_in < 0.0) return false;
+    relay_capacity += std::min(spare_out, spare_in);
+  }
+  return total_excess <= relay_capacity;
+}
+
+// Bisects for the largest feasible theta, or 0 when no pair has positive
+// demand. The cells are gathered once, in row-major order (the dense
+// loop's order, so every sum keeps its bits), and each step is one pass
+// over them and the racks.
+template <typename DirectCap>
+double vlb_throughput(const Demand& demand, DirectCap direct_cap,
+                      const std::vector<double>& budget, bool enable_vlb) {
+  std::vector<Cell> cells;
+  for (int a = 0; a < demand.num_racks(); ++a) {
+    for (const Demand::Entry& e : demand.row(a)) {
+      if (e.value > 0.0) cells.push_back({a, e.col, e.value, direct_cap(a, e.col)});
+    }
+  }
+  if (cells.empty()) return 0.0;
+  double lo = 0.0;
+  double hi = 1.0;
+  // Grow hi until infeasible (bounded: rack budgets cap throughput).
+  while (vlb_feasible(cells, budget, enable_vlb, hi) && hi < 1e6) hi *= 2.0;
+  for (int iter = 0; iter < 60; ++iter) {
+    const double mid = 0.5 * (lo + hi);
+    (vlb_feasible(cells, budget, enable_vlb, mid) ? lo : hi) = mid;
+  }
+  return lo;
+}
+
+}  // namespace
+
 double clos_throughput(const Demand& demand, int hosts_per_rack, double host_rate_bps,
                        double oversubscription) {
   const double up_capacity = hosts_per_rack * host_rate_bps / oversubscription;
+  const Demand by_dst = transpose(demand);
   double theta = std::numeric_limits<double>::infinity();
   for (int r = 0; r < demand.num_racks(); ++r) {
     const double out = demand.row_sum(r);
-    const double in = demand.col_sum(r);
+    const double in = by_dst.row_sum(r);
     if (out > 0.0) theta = std::min(theta, up_capacity / out);
     if (in > 0.0) theta = std::min(theta, up_capacity / in);
     // Host links bound everything at 1.0x offered load by construction.
@@ -136,55 +192,6 @@ double clos_throughput(const Demand& demand, int hosts_per_rack, double host_rat
   }
   return std::isinf(theta) ? 0.0 : theta;
 }
-
-namespace {
-
-// Feasibility of theta*demand on graph g under one-hop-direct (graph
-// edges) plus two-hop VLB relay routing, using aggregate per-rack budgets.
-bool graph_vlb_feasible(const Demand& demand, const topo::Graph& g,
-                        double link_rate_bps, double theta) {
-  const int n = demand.num_racks();
-  std::vector<double> out(static_cast<std::size_t>(n), 0.0);
-  std::vector<double> in(static_cast<std::size_t>(n), 0.0);
-  double total_excess = 0.0;
-  for (int a = 0; a < n; ++a) {
-    for (int b = 0; b < n; ++b) {
-      if (a == b) continue;
-      const double want = theta * demand(a, b);
-      if (want <= 0.0) continue;
-      const double direct_cap =
-          g.has_edge(static_cast<topo::Vertex>(a), static_cast<topo::Vertex>(b))
-              ? link_rate_bps
-              : 0.0;
-      total_excess += std::max(0.0, want - direct_cap);
-      out[static_cast<std::size_t>(a)] += want;
-      in[static_cast<std::size_t>(b)] += want;
-    }
-  }
-  double relay_capacity = 0.0;
-  for (int r = 0; r < n; ++r) {
-    const double budget = g.degree(static_cast<topo::Vertex>(r)) * link_rate_bps;
-    const double spare_out = budget - out[static_cast<std::size_t>(r)];
-    const double spare_in = budget - in[static_cast<std::size_t>(r)];
-    if (spare_out < 0.0 || spare_in < 0.0) return false;
-    relay_capacity += std::min(spare_out, spare_in);
-  }
-  return total_excess <= relay_capacity;
-}
-
-double graph_vlb_throughput(const Demand& demand, const topo::Graph& g,
-                            double link_rate_bps) {
-  double lo = 0.0;
-  double hi = 1.0;
-  while (graph_vlb_feasible(demand, g, link_rate_bps, hi) && hi < 1e6) hi *= 2.0;
-  for (int iter = 0; iter < 60; ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    (graph_vlb_feasible(demand, g, link_rate_bps, mid) ? lo : hi) = mid;
-  }
-  return lo;
-}
-
-}  // namespace
 
 double expander_throughput(const Demand& demand, const topo::Graph& g,
                            double link_rate_bps, bool enable_vlb) {
@@ -197,14 +204,15 @@ double expander_throughput(const Demand& demand, const topo::Graph& g,
     load[v].assign(g.neighbors(static_cast<topo::Vertex>(v)).size(), 0.0);
   }
 
+  const Demand by_dst = transpose(demand);
   std::vector<double> node_flow(n);
   std::vector<topo::Vertex> order(n);
   for (int b = 0; b < demand.num_racks(); ++b) {
-    if (demand.col_sum(b) <= 0.0) continue;
+    if (by_dst.row_sum(b) <= 0.0) continue;
     const auto dist = bfs_distances(g, static_cast<topo::Vertex>(b));
     std::fill(node_flow.begin(), node_flow.end(), 0.0);
-    for (int a = 0; a < demand.num_racks(); ++a) {
-      node_flow[static_cast<std::size_t>(a)] = demand(a, b);
+    for (const Demand::Entry& e : by_dst.row(b)) {
+      node_flow[static_cast<std::size_t>(e.col)] = e.value;
     }
     // Drain nodes farthest-first so all upstream flow has arrived before a
     // node splits its aggregate over the shortest-path DAG.
@@ -240,61 +248,27 @@ double expander_throughput(const Demand& demand, const topo::Graph& g,
   }
   const double ecmp = max_load > 0.0 ? link_rate_bps / max_load : 0.0;
   if (!enable_vlb) return ecmp;
-  return std::max(ecmp, graph_vlb_throughput(demand, g, link_rate_bps));
+  std::vector<double> budget(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    budget[r] = g.degree(static_cast<topo::Vertex>(r)) * link_rate_bps;
+  }
+  const auto direct_cap = [&](int a, int b) {
+    return g.has_edge(static_cast<topo::Vertex>(a), static_cast<topo::Vertex>(b))
+               ? link_rate_bps
+               : 0.0;
+  };
+  return std::max(ecmp, vlb_throughput(demand, direct_cap, budget, true));
 }
 
-namespace {
-
-bool rotor_feasible(const Demand& demand, const RotorModelParams& p, double theta) {
-  const int n = p.num_racks;
+double rotor_throughput(const Demand& demand, const RotorModelParams& p) {
+  assert(p.num_racks == demand.num_racks());
   const double active_uplinks = p.uplinks * p.active_fraction;
   const double pair_cap =
-      active_uplinks / static_cast<double>(n) * p.link_rate_bps * p.duty_cycle;
-  const double rack_budget = active_uplinks * p.link_rate_bps * p.duty_cycle;
-
-  std::vector<double> out(static_cast<std::size_t>(n), 0.0);
-  std::vector<double> in(static_cast<std::size_t>(n), 0.0);
-  double total_excess = 0.0;
-  for (int a = 0; a < n; ++a) {
-    for (int b = 0; b < n; ++b) {
-      if (a == b) continue;
-      const double want = theta * demand(a, b);
-      if (want <= 0.0) continue;
-      const double direct = std::min(want, pair_cap);
-      const double excess = want - direct;
-      if (excess > 0.0 && !p.enable_vlb) return false;
-      out[static_cast<std::size_t>(a)] += want;  // first hop always leaves a
-      in[static_cast<std::size_t>(b)] += want;   // last hop always enters b
-      total_excess += excess;
-    }
-  }
-  double relay_capacity = 0.0;
-  for (int r = 0; r < n; ++r) {
-    const double spare_out = rack_budget - out[static_cast<std::size_t>(r)];
-    const double spare_in = rack_budget - in[static_cast<std::size_t>(r)];
-    if (spare_out < 0.0 || spare_in < 0.0) return false;
-    relay_capacity += std::min(spare_out, spare_in);
-  }
-  return total_excess <= relay_capacity;
-}
-
-}  // namespace
-
-double rotor_throughput(const Demand& demand, const RotorModelParams& params) {
-  if (demand.total() <= 0.0) return 0.0;
-  double lo = 0.0;
-  double hi = 1.0;
-  // Grow hi until infeasible (bounded: rack budgets cap throughput).
-  while (rotor_feasible(demand, params, hi) && hi < 1e6) hi *= 2.0;
-  for (int iter = 0; iter < 60; ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    if (rotor_feasible(demand, params, mid)) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
+      active_uplinks / static_cast<double>(p.num_racks) * p.link_rate_bps * p.duty_cycle;
+  const std::vector<double> budget(static_cast<std::size_t>(p.num_racks),
+                                   active_uplinks * p.link_rate_bps * p.duty_cycle);
+  return vlb_throughput(demand, [&](int, int) { return pair_cap; }, budget,
+                        p.enable_vlb);
 }
 
 }  // namespace opera::fluid

@@ -2,17 +2,21 @@
 // experiments (paper Figures 10, 12, 15).
 //
 // The paper runs htsim to saturation for these figures; we reproduce the
-// shape with rack-level max-min style models (documented substitution in
-// DESIGN.md):
+// shape with rack-level max-min style models (see "Model substitutions" in
+// docs/ARCHITECTURE.md):
 //   * folded Clos — rack ingress/egress limited by the oversubscribed
 //     uplink capacity (the fabric above is rearrangeably non-blocking)
 //   * expander — exact per-edge loads under shortest-path ECMP splitting,
 //     plus rack ingress/egress limits
 //   * Opera / RotorNet — time-averaged direct circuit capacity per rack
 //     pair, with two-hop VLB over leftover capacity at a 2x byte cost
+// The expander's VLB leg and the rotor model share one test: direct
+// one-hop capacity per rack pair plus two-hop VLB over spare per-rack
+// budgets, bisected on theta.
 //
 // All functions return the max scale factor theta such that theta * demand
-// is feasible; demands are in bits/sec at rack granularity.
+// is feasible, or 0 when no rack pair has positive demand; demands are in
+// bits/sec at rack granularity.
 #pragma once
 
 #include <cstdint>
@@ -43,11 +47,9 @@ class Demand {
       : n_(num_racks), rows_(static_cast<std::size_t>(num_racks)) {}
 
   [[nodiscard]] int num_racks() const { return n_; }
-  [[nodiscard]] double operator()(int a, int b) const;
   void add(int a, int b, double bps);
   [[nodiscard]] double total() const;
   [[nodiscard]] double row_sum(int a) const;
-  [[nodiscard]] double col_sum(int b) const;
 
   // Column-sorted nonzero entries of row `a`.
   [[nodiscard]] const std::vector<Entry>& row(int a) const {

@@ -2,9 +2,9 @@
 // (VL2/Microsoft [21]), Websearch (DCTCP [4]), and Hadoop (Facebook [39]).
 //
 // The CDFs are piecewise log-linear fits digitized from the published
-// curves (see DESIGN.md's substitution table): the paper's evaluation
-// depends on their shape — byte-heavy tails over many size decades — which
-// these fits preserve.
+// curves (see "Model substitutions" in docs/ARCHITECTURE.md): the paper's
+// evaluation depends on their shape — byte-heavy tails over many size
+// decades — which these fits preserve.
 #pragma once
 
 #include <cstdint>
